@@ -1,10 +1,9 @@
 // Shared helpers for the benchmark harnesses.
 //
 // Every bench binary prints rows shaped like the paper's tables and
-// accepts --docs / --seed flags to scale the synthetic collections. The
-// paper's absolute numbers are reprinted alongside measured values in
-// EXPERIMENTS.md; here we print the measured table plus the workload
-// parameters so runs are self-describing.
+// accepts --docs / --seed flags to scale the synthetic collections. We
+// print the measured table plus the workload parameters so runs are
+// self-describing.
 #pragma once
 
 #include <cstdint>

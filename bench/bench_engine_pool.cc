@@ -1,7 +1,7 @@
 // EnginePool serving-throughput sweep: {1,2,4,8} workers × batch sizes
 // × backend kind, reporting queries/sec (probes, not batches) and the
-// per-batch label route mix (cache hit rate for the copy-route linlout
-// backend; borrow share for the zero-copy hopi / mapped backends).
+// per-batch label route mix (borrow share, plus the cache hit rate of
+// the block route that the compressed mapped-v4 backend takes).
 //
 // The submission side runs `clients` threads each firing synchronous
 // Batch() calls, so the measured number is end-to-end: queue, dispatch,
@@ -79,15 +79,21 @@ RunResult RunWorkload(engine::EnginePool* pool, size_t clients,
 
 std::string RouteMix(const engine::PoolStats& s) {
   uint64_t cached = s.cache_hits + s.cache_misses;
-  if (cached == 0 && s.labels_borrowed == 0) return "-";
-  if (s.labels_borrowed > 0) {
-    return TablePrinter::Fmt(100.0, 0) + "% borrow";
+  uint64_t fetches = cached + s.labels_borrowed;
+  if (fetches == 0) return "-";
+  std::string mix =
+      TablePrinter::Fmt(100.0 * static_cast<double>(s.labels_borrowed) /
+                            static_cast<double>(fetches),
+                        0) +
+      "% borrow";
+  if (cached > 0) {
+    mix += ", " +
+           TablePrinter::Fmt(100.0 * static_cast<double>(s.cache_hits) /
+                                 static_cast<double>(cached),
+                             1) +
+           "% hit";
   }
-  return TablePrinter::Fmt(
-             100.0 * static_cast<double>(s.cache_hits) /
-                 static_cast<double>(cached),
-             1) +
-         "% hit";
+  return mix;
 }
 
 }  // namespace
@@ -117,39 +123,51 @@ int main(int argc, char** argv) {
             << " client threads (hardware_concurrency="
             << std::thread::hardware_concurrency() << ")\n";
 
-  // The three label-carrying serving snapshots.
+  // The three label-carrying serving snapshots: the in-memory cover and
+  // the same cover read off a raw v3 and a block-compressed v4 file.
   auto hopi_snapshot = engine::BackendSnapshot::Freeze(*index);
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index->cover(), false));
-  const std::string path = "bench_engine_pool.bin";
-  if (Status s = store->WriteToFile(path); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  auto mapped_result = storage::MappedLinLoutStore::Open(path);
-  if (!mapped_result.ok()) {
-    std::cerr << mapped_result.status() << "\n";
-    return 1;
-  }
-  auto mapped = std::make_shared<storage::MappedLinLoutStore>(
-      std::move(mapped_result).value());
   auto collection = std::shared_ptr<const collection::Collection>(
       hopi_snapshot, &hopi_snapshot->collection());
+  auto open_mapped = [&](uint32_t version)
+      -> std::shared_ptr<const engine::BackendSnapshot> {
+    const std::string path = "bench_engine_pool.bin";
+    storage::StoreWriteOptions write_options;
+    write_options.format_version = version;
+    if (Status s = storage::WriteLinLoutFile(index->cover(), false, path,
+                                             write_options);
+        !s.ok()) {
+      std::cerr << s << "\n";
+      return nullptr;
+    }
+    auto opened = storage::MappedLinLoutStore::Open(path);
+    std::remove(path.c_str());  // the mapping outlives the name
+    if (!opened.ok()) {
+      std::cerr << opened.status() << "\n";
+      return nullptr;
+    }
+    return engine::BackendSnapshot::OfMappedStore(
+        collection,
+        std::make_shared<storage::MappedLinLoutStore>(
+            std::move(opened).value()),
+        hopi_snapshot->tags());
+  };
   struct NamedSnapshot {
     const char* name;
     std::shared_ptr<const engine::BackendSnapshot> snapshot;
   };
   NamedSnapshot snapshots[] = {
       {"hopi", hopi_snapshot},
-      {"linlout", engine::BackendSnapshot::OfStore(collection, store,
-                                                   hopi_snapshot->tags())},
-      {"mapped", engine::BackendSnapshot::OfMappedStore(
-                     collection, mapped, hopi_snapshot->tags())},
+      {"mapped", open_mapped(storage::kFormatVersion)},
+      {"mapped_v4", open_mapped(storage::kFormatVersionV4)},
   };
+  for (const NamedSnapshot& named : snapshots) {
+    if (named.snapshot == nullptr) return 1;
+  }
 
   hopi::bench::BenchReport report("engine_pool");
   report.Add("docs", static_cast<uint64_t>(docs));
   report.Add("clients", static_cast<uint64_t>(clients));
+  report.Add("batches", static_cast<uint64_t>(batches));
   report.Add("label_cache_bytes", static_cast<uint64_t>(cache_bytes));
   TablePrinter table({"backend", "threads", "batch", "wall s", "probes/s",
                       "label route"});
@@ -191,7 +209,7 @@ int main(int argc, char** argv) {
     std::atomic<uint64_t> swaps{0};
     std::thread swapper([&] {
       while (!done.load()) {
-        pool.Swap(swaps.fetch_add(1) % 2 == 0 ? snapshots[2].snapshot
+        pool.Swap(swaps.fetch_add(1) % 2 == 0 ? snapshots[1].snapshot
                                               : hopi_snapshot);
         std::this_thread::yield();
       }
@@ -286,7 +304,5 @@ int main(int argc, char** argv) {
   }
   overlay_table.Print(std::cout);
   overlay_report.Write();
-
-  std::remove(path.c_str());
   return 0;
 }

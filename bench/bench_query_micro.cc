@@ -1,7 +1,6 @@
 // Query micro-benchmarks (google-benchmark): HOPI label intersection vs
-// the materialized transitive closure, in memory and through the
-// LIN/LOUT store — both via the raw backends and via the QueryEngine
-// facade, whose batch path dedupes probes and caches hot label sets.
+// the materialized transitive closure — both via the raw indexes and
+// via the QueryEngine facade, whose batch path dedupes probes.
 // Query performance was evaluated in the EDBT 2004 paper [26]; this
 // harness provides the comparable numbers for our build.
 //
@@ -21,7 +20,6 @@
 #include "engine/engine.h"
 #include "hopi/baseline.h"
 #include "hopi/build.h"
-#include "storage/linlout.h"
 #include "twohop/join_kernel.h"
 #include "util/cpu.h"
 #include "util/rng.h"
@@ -36,9 +34,7 @@ struct Fixture {
   std::unique_ptr<HopiIndex> index;
   std::unique_ptr<HopiIndex> dist_index;
   std::unique_ptr<TransitiveClosureIndex> closure;
-  std::unique_ptr<storage::LinLoutStore> store;
   std::unique_ptr<engine::QueryEngine> engine_hopi;
-  std::unique_ptr<engine::QueryEngine> engine_store;
   std::unique_ptr<engine::QueryEngine> engine_closure;
 
   static Fixture& Get() {
@@ -60,12 +56,8 @@ struct Fixture {
     dist_index = std::make_unique<HopiIndex>(std::move(dist).value());
     closure = std::make_unique<TransitiveClosureIndex>(
         TransitiveClosureIndex::Build(collection.ElementGraph(), true));
-    store = std::make_unique<storage::LinLoutStore>(
-        storage::LinLoutStore::FromCover(index->cover(), false));
     engine_hopi = std::make_unique<engine::QueryEngine>(
         engine::QueryEngine::ForIndex(*index));
-    engine_store = std::make_unique<engine::QueryEngine>(
-        engine::QueryEngine::ForStore(collection, *store));
     engine_closure = std::make_unique<engine::QueryEngine>(
         engine::QueryEngine::ForClosure(collection, *closure, true));
   }
@@ -110,16 +102,6 @@ void BM_Reachability_MaterializedTC(benchmark::State& state) {
 }
 BENCHMARK(BM_Reachability_MaterializedTC);
 
-void BM_Reachability_LinLoutStore(benchmark::State& state) {
-  Fixture& f = Fixture::Get();
-  Rng rng(1);
-  for (auto _ : state) {
-    auto [u, v] = f.RandomPair(&rng);
-    benchmark::DoNotOptimize(f.store->TestConnection(u, v));
-  }
-}
-BENCHMARK(BM_Reachability_LinLoutStore);
-
 void BM_Distance_Hopi(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   Rng rng(2);
@@ -162,17 +144,6 @@ void BM_Descendants_MaterializedTC(benchmark::State& state) {
 }
 BENCHMARK(BM_Descendants_MaterializedTC);
 
-void BM_Descendants_LinLoutStore(benchmark::State& state) {
-  Fixture& f = Fixture::Get();
-  Rng rng(3);
-  for (auto _ : state) {
-    NodeId u =
-        static_cast<NodeId>(rng.NextBounded(f.collection.NumElements()));
-    benchmark::DoNotOptimize(f.store->Descendants(u));
-  }
-}
-BENCHMARK(BM_Descendants_LinLoutStore);
-
 // ---- the QueryEngine facade: batched, deduped, label-cached ----
 
 void RunEngineBatch(benchmark::State& state, engine::QueryEngine* engine) {
@@ -199,31 +170,26 @@ void BM_EngineBatch_Hopi(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineBatch_Hopi);
 
-void BM_EngineBatch_LinLoutStore(benchmark::State& state) {
-  RunEngineBatch(state, Fixture::Get().engine_store.get());
-}
-BENCHMARK(BM_EngineBatch_LinLoutStore);
-
 void BM_EngineBatch_MaterializedTC(benchmark::State& state) {
   RunEngineBatch(state, Fixture::Get().engine_closure.get());
 }
 BENCHMARK(BM_EngineBatch_MaterializedTC);
 
 // The same skewed workload as scalar calls, for the batching delta.
-void BM_EngineScalarLoop_LinLoutStore(benchmark::State& state) {
+void BM_EngineScalarLoop_Hopi(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   Rng rng(4);
   std::vector<engine::NodePair> batch = f.SkewedBatch(256, &rng);
   size_t probes = 0;
   for (auto _ : state) {
     for (const auto& [u, v] : batch) {
-      benchmark::DoNotOptimize(f.store->TestConnection(u, v));
+      benchmark::DoNotOptimize(f.index->IsReachable(u, v));
     }
     probes += batch.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(probes));
 }
-BENCHMARK(BM_EngineScalarLoop_LinLoutStore);
+BENCHMARK(BM_EngineScalarLoop_Hopi);
 
 void BM_EnginePathQuery_Hopi(benchmark::State& state) {
   Fixture& f = Fixture::Get();

@@ -1,10 +1,10 @@
 // Storage-layer I/O bench: raw (v3) vs block-compressed (v4) LIN/LOUT
 // files — size on disk, open cost, and batched probe throughput.
 //
-//   cold open  LinLoutStore::ReadFromFile copies every row to the heap
-//              and re-sorts the backward runs; MappedLinLoutStore::Open
-//              validates checksums but copies nothing. The v4 lazy
-//              open ("mapped-v4 lazy") verifies only the metadata CRC:
+//   cold open  MappedLinLoutStore::Open validates checksums but copies
+//              nothing; the buffered fallback ("mapped_v3_buffered")
+//              reads the file into one heap image first. The v4 lazy
+//              open ("mapped_v4_lazy") verifies only the metadata CRC:
 //              the open cost that stays flat as covers outgrow RAM.
 //   cold batch a fresh engine's first 256-probe batch: v3 mapped
 //              borrows spans off the file image; v4 decodes every
@@ -14,7 +14,7 @@
 //              number the v4 design is accountable to.
 //
 // Writes BENCH_storage_io.json (bytes/entry both formats, compression
-// ratio, cold/warm probes/s) for CI and EXPERIMENTS.md to diff.
+// ratio, cold/warm probes/s).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -52,20 +52,20 @@ int main(int argc, char** argv) {
     std::cerr << index.status() << "\n";
     return 1;
   }
-  storage::LinLoutStore store =
-      storage::LinLoutStore::FromCover(index->cover(), true);
-
   const std::string v3_path = "bench_storage_io_v3.bin";
   const std::string v4_path = "bench_storage_io_v4.bin";
-  if (Status s = store.WriteToFile(v3_path); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  storage::StoreWriteOptions v4_options;
-  v4_options.format_version = storage::kFormatVersionV4;
-  if (Status s = store.WriteToFile(v4_path, v4_options); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
+  for (uint32_t version :
+       {storage::kFormatVersion, storage::kFormatVersionV4}) {
+    storage::StoreWriteOptions write_options;
+    write_options.format_version = version;
+    if (Status s = storage::WriteLinLoutFile(
+            index->cover(), true,
+            version == storage::kFormatVersion ? v3_path : v4_path,
+            write_options);
+        !s.ok()) {
+      std::cerr << s << "\n";
+      return 1;
+    }
   }
   auto v3_info = storage::InspectFile(v3_path);
   auto v4_info = storage::InspectFile(v4_path);
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     std::cerr << v3_info.status() << " / " << v4_info.status() << "\n";
     return 1;
   }
-  const uint64_t entries = store.NumEntries();
+  const uint64_t entries = index->cover().Size();
   const double v3_bpe =
       static_cast<double>(v3_info->file_bytes) / static_cast<double>(entries);
   const double v4_bpe =
@@ -105,17 +105,18 @@ int main(int argc, char** argv) {
   report.Add("compression_ratio", v3_bpe / v4_bpe);
 
   report.Add("label_cache_bytes", static_cast<uint64_t>(cache_bytes));
+  report.Add("probes", static_cast<uint64_t>(probes));
+  report.Add("reps", static_cast<uint64_t>(reps));
 
   TablePrinter table({"mode", "cold open", "cold batch", "warm batch",
                       "warm probes/s", "borrowed", "decoded", "evicted"});
   auto run_mode = [&](const std::string& mode,
-                      const storage::MappedLinLoutStore* mapped,
-                      const storage::LinLoutStore* buffered, double open_s) {
+                      const storage::MappedLinLoutStore& store,
+                      double open_s) {
     engine::QueryEngineOptions eng_options;
     eng_options.label_cache_bytes = cache_bytes;
     engine::QueryEngine eng =
-        mapped ? engine::QueryEngine::ForMappedStore(c, *mapped, eng_options)
-               : engine::QueryEngine::ForStore(c, *buffered, eng_options);
+        engine::QueryEngine::ForMappedStore(c, store, eng_options);
     Stopwatch cold_sw;
     engine::BatchResponse cold =
         eng.Batch({.pairs = pairs, .want_distances = true});
@@ -139,22 +140,8 @@ int main(int argc, char** argv) {
     report.Add(mode + "_blocks_decoded", cold.stats.blocks_decoded);
   };
 
-  {  // buffered v3: full heap load, copy route through the cache
-    double open_s = 0;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      Stopwatch sw;
-      auto loaded = storage::LinLoutStore::ReadFromFile(v3_path);
-      open_s += sw.ElapsedSeconds() / static_cast<double>(reps);
-      if (!loaded.ok()) {
-        std::cerr << loaded.status() << "\n";
-        return 1;
-      }
-    }
-    auto loaded = storage::LinLoutStore::ReadFromFile(v3_path);
-    run_mode("buffered_v3", nullptr, &*loaded, open_s);
-  }
-
-  // Mapped modes: v3 (borrow route), v4 verified, v4 lazy (block route).
+  // v3 (borrow route) over mmap and over the buffered fallback; v4
+  // verified and v4 lazy (block route).
   struct MappedMode {
     std::string name;
     std::string path;
@@ -162,6 +149,7 @@ int main(int argc, char** argv) {
   };
   const MappedMode modes[] = {
       {"mapped_v3", v3_path, {}},
+      {"mapped_v3_buffered", v3_path, {.prefer_mmap = false}},
       {"mapped_v4", v4_path, {}},
       {"mapped_v4_lazy", v4_path, {.prefer_mmap = true,
                                    .verify_file_checksum = false}},
@@ -178,7 +166,7 @@ int main(int argc, char** argv) {
       }
     }
     auto mapped = storage::MappedLinLoutStore::Open(mode.path, mode.open);
-    run_mode(mode.name, &*mapped, nullptr, open_s);
+    run_mode(mode.name, *mapped, open_s);
   }
   table.Print(std::cout);
   std::cout << "\nShape check: v3 mapped batches borrow spans (no decodes); "

@@ -96,8 +96,9 @@ int main(int argc, char** argv) {
     options.partition.max_nodes = px_cap(x);
     options.partition.seed = seed;
     options.join = JoinAlgorithm::kRecursive;
-    rows.push_back(RunBuild("P" + std::to_string(static_cast<int>(x)), &c,
-                            options));
+    std::string label = "P";
+    label += std::to_string(static_cast<int>(x));
+    rows.push_back(RunBuild(label, &c, options));
   }
   {  // single: document-per-partition ("naive") + new join.
     IndexBuildOptions options;
@@ -114,8 +115,9 @@ int main(int argc, char** argv) {
     options.partition.edge_weight = partition::EdgeWeightPolicy::kAtimesD;
     options.partition.seed = seed;
     options.join = JoinAlgorithm::kRecursive;
-    rows.push_back(RunBuild("N" + std::to_string(static_cast<int>(x)), &c,
-                            options));
+    std::string label = "N";
+    label += std::to_string(static_cast<int>(x));
+    rows.push_back(RunBuild(label, &c, options));
   }
 
   TablePrinter table(

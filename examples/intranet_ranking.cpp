@@ -10,6 +10,7 @@
 #include "engine/engine.h"
 #include "hopi/build.h"
 #include "storage/linlout.h"
+#include "storage/mapped_linlout.h"
 
 int main() {
   using namespace hopi;
@@ -58,24 +59,24 @@ int main() {
               << " matches survive\n";
   }
 
-  // Persist the index to the LIN/LOUT store and reopen it (what a search
+  // Persist the index to a LIN/LOUT file and reopen it (what a search
   // engine restart would do).
-  storage::LinLoutStore store =
-      storage::LinLoutStore::FromCover(index->cover(), true);
   std::string path = "/tmp/hopi_intranet.idx";
-  if (!store.WriteToFile(path).ok()) return 1;
-  auto loaded = storage::LinLoutStore::ReadFromFile(path);
+  if (!storage::WriteLinLoutFile(index->cover(), true, path).ok()) return 1;
+  auto loaded = storage::MappedLinLoutStore::Open(path);
   if (!loaded.ok()) {
     std::cerr << loaded.status() << "\n";
     return 1;
   }
-  std::cout << "\npersisted " << store.NumEntries() << " entries ("
-            << store.StorageIntegers() * 4 / 1024
-            << " KiB as integers)\n";
+  std::cout << "\npersisted " << loaded->NumEntries() << " entries in "
+            << loaded->file_bytes() / 1024 << " KiB ("
+            << loaded->StorageIntegers() * 4 / 1024
+            << " KiB as raw integers)\n";
 
   // Serve the same query from the reloaded store: only the backend
   // changes, the facade and the results stay identical.
-  engine::QueryEngine restarted = engine::QueryEngine::ForStore(c, *loaded);
+  engine::QueryEngine restarted =
+      engine::QueryEngine::ForMappedStore(c, *loaded);
   auto rematches =
       restarted.Query({.expression = query_text, .max_matches = 10});
   if (!rematches.ok()) return 1;

@@ -61,7 +61,8 @@ int main() {
 
   // 4. Wrap the index in the QueryEngine facade — the single entry point
   //    for reachability, batches, and path queries. Other backends
-  //    (LinLoutStore, the closure baseline) plug into the same facade.
+  //    (the LIN/LOUT file reader, the closure baseline) plug into the
+  //    same facade.
   engine::QueryEngine engine = engine::QueryEngine::ForIndex(*index);
 
   // 5. Reachability across the citation link: the book's root reaches the

@@ -10,7 +10,7 @@ namespace hopi::datagen {
 namespace {
 
 std::string PubName(size_t index) {
-  return "pub" + std::to_string(index) + ".xml";
+  return Numbered("pub", index, ".xml");
 }
 
 }  // namespace
@@ -20,13 +20,13 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
   // Element mix modeled on DBLP inproceedings records: the paper's subset
   // averaged ~27 elements per publication.
   auto root = std::make_unique<xml::Element>("inproceedings");
-  root->AddAttribute("id", "pub" + std::to_string(index));
-  root->AddAttribute("key", "conf/gen/" + std::to_string(index));
+  root->AddAttribute("id", Numbered("pub", index));
+  root->AddAttribute("key", Numbered("conf/gen/", index));
 
   size_t num_authors = 1 + rng->NextBounded(4);
   for (size_t a = 0; a < num_authors; ++a) {
     auto* author = root->AddChild(std::make_unique<xml::Element>("author"));
-    author->AddAttribute("id", "a" + std::to_string(a));
+    author->AddAttribute("id", Numbered("a", a));
     author->AppendText(RandomAuthorName(rng));
   }
   auto* title = root->AddChild(std::make_unique<xml::Element>("title"));
@@ -39,7 +39,7 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
   root->AddChild(std::make_unique<xml::Element>("booktitle"))
       ->AppendText(RandomWords(rng, 2));
   root->AddChild(std::make_unique<xml::Element>("ee"))
-      ->AppendText("db/conf/gen/" + std::to_string(index));
+      ->AppendText(Numbered("db/conf/gen/", index));
 
   // Abstract with a few sentence elements to reach DBLP-like element
   // counts and give the ranking examples some depth.
@@ -76,7 +76,7 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
     targets.push_back(target);
     auto* cite = root->AddChild(std::make_unique<xml::Element>("cite"));
     cite->AddAttribute("xlink:href", PubName(target));
-    cite->AppendText("[" + std::to_string(targets.size()) + "]");
+    cite->AppendText(Numbered("[", targets.size(), "]"));
   }
 
   // Occasional intra-document cross reference: a footnote pointing at an
@@ -84,7 +84,7 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
   if (rng->NextBernoulli(config.intra_link_prob)) {
     auto* footnote = root->AddChild(std::make_unique<xml::Element>("footnote"));
     footnote->AddAttribute(
-        "idref", "a" + std::to_string(rng->NextBounded(num_authors)));
+        "idref", Numbered("a", rng->NextBounded(num_authors)));
     footnote->AppendText(RandomWords(rng, 3));
   }
 

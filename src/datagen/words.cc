@@ -39,4 +39,12 @@ std::string RandomAuthorName(Rng* rng) {
   return initial + ". " + kSurnames[rng->NextBounded(kSurnameCount)];
 }
 
+std::string Numbered(std::string_view prefix, uint64_t n,
+                     std::string_view suffix) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  out += suffix;
+  return out;
+}
+
 }  // namespace hopi::datagen

@@ -9,10 +9,10 @@ namespace hopi::datagen {
 namespace {
 
 std::string ItemDocName(const XmarkConfig& c, size_t item) {
-  return "items" + std::to_string(item / c.entities_per_doc) + ".xml";
+  return Numbered("items", item / c.entities_per_doc, ".xml");
 }
 std::string PersonDocName(const XmarkConfig& c, size_t person) {
-  return "people" + std::to_string(person / c.entities_per_doc) + ".xml";
+  return Numbered("people", person / c.entities_per_doc, ".xml");
 }
 
 }  // namespace
@@ -28,7 +28,7 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
     for (size_t i = base;
          i < std::min(base + config.entities_per_doc, config.num_items); ++i) {
       auto* item = root->AddChild(std::make_unique<xml::Element>("item"));
-      item->AddAttribute("id", "item" + std::to_string(i));
+      item->AddAttribute("id", Numbered("item", i));
       item->AddChild(std::make_unique<xml::Element>("name"))
           ->AppendText(RandomWords(&rng, 2));
       auto* desc = item->AddChild(std::make_unique<xml::Element>("description"));
@@ -38,7 +38,7 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
           ->AppendText(std::to_string(1 + rng.NextBounded(5)));
     }
     xml::Document d;
-    d.name = "items" + std::to_string(base / config.entities_per_doc) + ".xml";
+    d.name = Numbered("items", base / config.entities_per_doc, ".xml");
     d.root = std::move(root);
     docs.push_back(std::move(d));
   }
@@ -51,11 +51,11 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
          p < std::min(base + config.entities_per_doc, config.num_people);
          ++p) {
       auto* person = root->AddChild(std::make_unique<xml::Element>("person"));
-      person->AddAttribute("id", "person" + std::to_string(p));
+      person->AddAttribute("id", Numbered("person", p));
       person->AddChild(std::make_unique<xml::Element>("name"))
           ->AppendText(RandomAuthorName(&rng));
       person->AddChild(std::make_unique<xml::Element>("emailaddress"))
-          ->AppendText("u" + std::to_string(p) + "@example.org");
+          ->AppendText(Numbered("u", p, "@example.org"));
       size_t watches = rng.NextBounded(4);
       for (size_t w = 0; w < watches; ++w) {
         size_t item = rng.NextBounded(config.num_items);
@@ -65,7 +65,7 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
       }
     }
     xml::Document d;
-    d.name = "people" + std::to_string(base / config.entities_per_doc) + ".xml";
+    d.name = Numbered("people", base / config.entities_per_doc, ".xml");
     d.root = std::move(root);
     docs.push_back(std::move(d));
   }
@@ -79,7 +79,7 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
          ++a) {
       auto* auction =
           root->AddChild(std::make_unique<xml::Element>("open_auction"));
-      auction->AddAttribute("id", "auction" + std::to_string(a));
+      auction->AddAttribute("id", Numbered("auction", a));
       size_t item = rng.NextBounded(config.num_items);
       auto* itemref = auction->AddChild(std::make_unique<xml::Element>("itemref"));
       itemref->AddAttribute("xlink:href", ItemDocName(config, item) + "#item" +
@@ -100,8 +100,7 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
       current->AppendText(std::to_string(10 + rng.NextBounded(500)));
     }
     xml::Document d;
-    d.name =
-        "auctions" + std::to_string(base / config.entities_per_doc) + ".xml";
+    d.name = Numbered("auctions", base / config.entities_per_doc, ".xml");
     d.root = std::move(root);
     docs.push_back(std::move(d));
   }

@@ -3,10 +3,8 @@
 //
 //   HopiIndexBackend      in-memory 2-hop cover labels
 //                         (engine/hopi_backend.h),
-//   LinLoutBackend        the heap-loaded LIN/LOUT index-organized
-//                         tables (storage/linlout.h),
-//   MappedLinLoutBackend  the mmap-backed zero-copy LIN/LOUT reader
-//                         (storage/mapped_linlout.h),
+//   MappedLinLoutBackend  the LIN/LOUT index-organized tables, read
+//                         off the file (storage/mapped_linlout.h),
 //   ClosureBackend        the materialized transitive closure baseline
 //                         (hopi/baseline.h).
 //
@@ -29,55 +27,14 @@
 #include "engine/backend.h"
 #include "engine/hopi_backend.h"
 #include "hopi/baseline.h"
-#include "storage/linlout.h"
 #include "storage/mapped_linlout.h"
 
 namespace hopi::engine {
 
-/// Adapter over the LIN/LOUT index-organized tables. Labels are
-/// materialized from table rows on demand, so the engine's LRU cache is
-/// what makes repeated probes cheap.
-class LinLoutBackend final : public ReachabilityBackend {
- public:
-  explicit LinLoutBackend(const storage::LinLoutStore& store)
-      : store_(&store) {}
-
-  std::string_view Name() const override { return "linlout"; }
-  bool with_distance() const override { return store_->with_distance(); }
-
-  bool IsReachable(NodeId u, NodeId v) const override {
-    return store_->TestConnection(u, v);
-  }
-  std::optional<uint32_t> Distance(NodeId u, NodeId v) const override {
-    return store_->MinDistance(u, v);
-  }
-  std::vector<NodeId> Descendants(NodeId u) const override {
-    return store_->Descendants(u);
-  }
-  std::vector<NodeId> Ancestors(NodeId u) const override {
-    return store_->Ancestors(u);
-  }
-
-  bool HasLabels() const override { return true; }
-  Label OutLabel(NodeId u) const override {
-    Label label;
-    store_->LoutLabel(u, &label);
-    return label;
-  }
-  Label InLabel(NodeId v) const override {
-    Label label;
-    store_->LinLabel(v, &label);
-    return label;
-  }
-
- private:
-  const storage::LinLoutStore* store_;
-};
-
-/// Adapter over the mmap-backed LIN/LOUT reader. For raw (v3) stores,
-/// labels are lent to the engine as spans over the file image (the
-/// borrow route), so batch queries run zero-copy off disk — no cache
-/// traffic at all. For block-compressed (v4) stores the adapter speaks
+/// Adapter over the LIN/LOUT file reader. For raw (v3) stores, labels
+/// are lent to the engine as strided kernel views over the file image
+/// (the borrow route), so batch queries run zero-copy off disk — no
+/// cache traffic at all. For block-compressed (v4) stores the adapter speaks
 /// the block route instead: it names the block holding a node's row
 /// and decodes it on demand, and the engine's byte-budgeted cache
 /// keeps hot blocks resident (nodes without rows still borrow an
@@ -106,34 +63,22 @@ class MappedLinLoutBackend final : public ReachabilityBackend {
   }
 
   bool HasLabels() const override { return true; }
-  Label OutLabel(NodeId u) const override {
+  std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
     if (!store_->compressed()) {
       auto span = store_->LoutSpan(u);
-      return Label(span.begin(), span.end());
+      return twohop::JoinView::FromEntries(span.data(), span.size());
     }
-    auto row = store_->DecodeLoutRow(u);
-    return row.ok() ? Label(row->entries.begin(), row->entries.end())
-                    : Label{};
-  }
-  Label InLabel(NodeId v) const override {
-    if (!store_->compressed()) {
-      auto span = store_->LinSpan(v);
-      return Label(span.begin(), span.end());
-    }
-    auto row = store_->DecodeLinRow(v);
-    return row.ok() ? Label(row->entries.begin(), row->entries.end())
-                    : Label{};
-  }
-  std::optional<LabelView> BorrowOutLabel(NodeId u) const override {
-    if (!store_->compressed()) return LabelView(store_->LoutSpan(u));
     // A compressed store can still borrow the one label it never has
     // to decode: the empty one.
-    if (!store_->LoutBlockHandle(u)) return LabelView{};
+    if (!store_->LoutBlockHandle(u)) return twohop::JoinView{};
     return std::nullopt;
   }
-  std::optional<LabelView> BorrowInLabel(NodeId v) const override {
-    if (!store_->compressed()) return LabelView(store_->LinSpan(v));
-    if (!store_->LinBlockHandle(v)) return LabelView{};
+  std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
+    if (!store_->compressed()) {
+      auto span = store_->LinSpan(v);
+      return twohop::JoinView::FromEntries(span.data(), span.size());
+    }
+    if (!store_->LinBlockHandle(v)) return twohop::JoinView{};
     return std::nullopt;
   }
   std::optional<uint64_t> OutLabelBlock(NodeId u) const override {

@@ -36,13 +36,6 @@ QueryEngine QueryEngine::ForIndex(const HopiIndex& index,
                      std::move(options));
 }
 
-QueryEngine QueryEngine::ForStore(const collection::Collection& collection,
-                                  const storage::LinLoutStore& store,
-                                  QueryEngineOptions options) {
-  return QueryEngine(collection, std::make_unique<LinLoutBackend>(store),
-                     std::move(options));
-}
-
 QueryEngine QueryEngine::ForMappedStore(
     const collection::Collection& collection,
     const storage::MappedLinLoutStore& store, QueryEngineOptions options) {
@@ -126,23 +119,12 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
     ++stats->labels_borrowed;
     return {*borrowed, nullptr};
   }
-  // Copy route: the backend materializes one label; the engine wraps
-  // it as a one-row block so the byte-budgeted cache has one currency.
-  uint64_t key = LabelCache::KeyFor(side, node);
-  if (LabelBlock hit = cache_.Get(key)) {
-    ++stats->cache_hits;
-    twohop::JoinView view = hit->JoinRow(0);
-    return {view, std::move(hit)};
+  if (error->ok()) {
+    *error = Status::Internal("backend " + std::string(backend_->Name()) +
+                              " lent no label for node " +
+                              std::to_string(node));
   }
-  ++stats->cache_misses;
-  auto wrapped = std::make_shared<storage::DecodedBlock>();
-  wrapped->entries = out ? backend_->OutLabel(node) : backend_->InLabel(node);
-  wrapped->row_keys = {node};
-  wrapped->row_begin = {0, static_cast<uint32_t>(wrapped->entries.size())};
-  wrapped->BuildJoinMirrors();
-  LabelBlock block = cache_.Put(key, std::move(wrapped));
-  twohop::JoinView view = block->JoinRow(0);
-  return {view, std::move(block)};
+  return {twohop::JoinView{}, nullptr};
 }
 
 BatchResponse QueryEngine::Batch(const BatchRequest& request) const {

@@ -2,15 +2,15 @@
 //
 // Owns the glue a search engine needs around one ReachabilityBackend —
 // the collection, the tag inverted index, an optional tag-similarity
-// ontology, and a bounded LRU cache of hot LIN/LOUT label sets — and
+// ontology, and a byte-budgeted LRU cache of decoded LIN/LOUT blocks — and
 // exposes typed request/response structs so raw reachability, batched
 // reachability joins, and wildcard path queries all flow through one
 // entry point (paper Sec 5.1; ROADMAP items "batch reachability joins"
 // and "cache hot LIN/LOUT sets").
 //
 // The batch path dedupes repeated (u, v) probes across a request and
-// intersects label sets served from the LRU cache; per-call hit/miss
-// counters are surfaced in the response stats.
+// joins label sets borrowed from the backend or served from the cache;
+// per-call route counters are surfaced in the response stats.
 //
 // Threading model: a QueryEngine is single-threaded — the label cache
 // mutates on reads, so exactly one thread may call Batch/Query/
@@ -38,16 +38,15 @@
 #include "query/path_query.h"
 #include "query/similarity.h"
 #include "query/tag_index.h"
-#include "storage/linlout.h"
 #include "storage/mapped_linlout.h"
 #include "util/result.h"
 
 namespace hopi::engine {
 
 struct QueryEngineOptions {
-  /// Byte budget of the hot-label cache (decoded v4 blocks and copied
-  /// label sets share it; see engine/label_cache.h for the accounting
-  /// and the pinning rule). 0 disables caching — correct, just cold.
+  /// Byte budget of the hot-label cache of decoded v4 blocks (see
+  /// engine/label_cache.h for the accounting and the pinning rule). 0
+  /// disables caching — correct, just cold.
   size_t label_cache_bytes = 4 * 1024 * 1024;
   /// Ontology for ~tag path steps; approximate steps behave like exact
   /// ones when unset.
@@ -89,8 +88,8 @@ struct BatchRequest {
 };
 
 /// Per-call accounting of one Batch() evaluation. Label fetches take
-/// exactly one of three routes — borrow, block, or copy — and the
-/// latter two go through the cache, so for label-carrying backends
+/// exactly one of two routes — borrow or block — and the block route
+/// goes through the cache, so for label-carrying backends
 /// `cache_hits + cache_misses + labels_borrowed == 2 * (unique probes
 /// with u != v)`, and `backend_probes` is non-zero only for label-less
 /// backends.
@@ -99,11 +98,10 @@ struct BatchStats {
   size_t probes = 0;
   /// Distinct (u, v) pairs actually evaluated after in-batch dedup.
   size_t unique_probes = 0;
-  /// Label sets served from the engine's cache (copy or block route,
-  /// warm).
+  /// Label sets served from the engine's cache (block route, warm).
   size_t cache_hits = 0;
-  /// Label sets the cache could not serve (copy or block route, cold —
-  /// the backend materialized a label or the engine decoded a block).
+  /// Label sets the cache could not serve (block route, cold — the
+  /// engine decoded a block).
   size_t cache_misses = 0;
   /// Label sets lent by the backend as views over its own storage —
   /// in-memory covers, raw mmapped file images (borrow route; the
@@ -125,10 +123,11 @@ struct BatchResponse {
   std::vector<bool> reachable;
   /// Parallel to pairs when want_distances; empty otherwise.
   std::vector<std::optional<uint32_t>> distances;
-  /// First block-decode failure hit during the batch (only reachable
-  /// over lazily opened or tampered-with compressed stores). Probes
-  /// whose labels failed to decode report unreachable; everything else
-  /// in the response is exact.
+  /// First label-fetch failure hit during the batch: a block decode
+  /// over a lazily opened or tampered-with compressed store, or
+  /// Internal for a backend that lent a node no label at all. Probes
+  /// whose labels failed report unreachable; everything else in the
+  /// response is exact.
   Status error = Status::OK();
   BatchStats stats;
 };
@@ -168,16 +167,14 @@ class QueryEngine {
               std::unique_ptr<ReachabilityBackend> backend,
               QueryEngineOptions options = {});
 
-  // Convenience factories over the four standard access paths. The
+  // Convenience factories over the three standard access paths. The
   // wrapped index/store/closure is NOT owned and must outlive the
   // engine.
   static QueryEngine ForIndex(const HopiIndex& index,
                               QueryEngineOptions options = {});
-  static QueryEngine ForStore(const collection::Collection& collection,
-                              const storage::LinLoutStore& store,
-                              QueryEngineOptions options = {});
-  /// Serves batch queries zero-copy off the mmapped file image (the
-  /// borrow route; the label cache stays cold).
+  /// Serves batch queries off the LIN/LOUT file: zero-copy from a v3
+  /// image (the borrow route; the label cache stays cold), through the
+  /// block cache from a v4 one.
   static QueryEngine ForMappedStore(const collection::Collection& collection,
                                     const storage::MappedLinLoutStore& store,
                                     QueryEngineOptions options = {});
@@ -195,7 +192,7 @@ class QueryEngine {
   /// batch and the answers scattered back, so the response is
   /// position-for-position what per-pair evaluation would return.
   /// Label sets are obtained via the backend's borrow hooks when
-  /// offered (zero-copy) and through the LRU cache otherwise; see
+  /// offered (zero-copy) and through the block cache otherwise; see
   /// BatchStats for the per-call route accounting.
   BatchResponse Batch(const BatchRequest& request) const;
 
@@ -225,16 +222,14 @@ class QueryEngine {
   LabelCache::Stats CacheStats() const { return cache_.StatsSnapshot(); }
 
  private:
-  /// One label fetch, as the join kernels want it: borrow from the
-  /// backend when offered (kernel views straight off a cover's SoA
-  /// mirrors, strided walks over mmapped images), else serve a pinned
-  /// block through the byte-budgeted cache (decoding it on a
-  /// block-route miss, materializing a one-row block on a copy-route
-  /// miss) and hand out its packed JoinRow. Counts the route taken
-  /// into `stats`; the first decode failure lands in `*error` and
-  /// yields an empty view. The returned PinnedJoin keeps the view
-  /// valid regardless of later fetches or evictions — exactly as long
-  /// as the batch join needs it.
+  /// One label fetch, as the join kernels want it: the row memo first,
+  /// then a pinned block through the byte-budgeted cache (decoding it
+  /// on a miss) handing out its packed JoinRow, else a borrow from the
+  /// backend (kernel views straight off a cover's SoA mirrors, strided
+  /// walks over mmapped images). Counts the route taken into `stats`;
+  /// the first failure lands in `*error` and yields an empty view. The
+  /// returned PinnedJoin keeps the view valid regardless of later
+  /// fetches or evictions — exactly as long as the batch join needs it.
   PinnedJoin FetchJoinLabel(LabelCache::Side side, NodeId node,
                             BatchStats* stats, Status* error) const;
 

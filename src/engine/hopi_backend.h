@@ -40,24 +40,8 @@ class HopiIndexBackend final : public ReachabilityBackend {
   }
 
   bool HasLabels() const override { return true; }
-  Label OutLabel(NodeId u) const override {
-    LabelView view = *BorrowOutLabel(u);
-    return Label(view.begin(), view.end());
-  }
-  Label InLabel(NodeId v) const override {
-    LabelView view = *BorrowInLabel(v);
-    return Label(view.begin(), view.end());
-  }
-  std::optional<LabelView> BorrowOutLabel(NodeId u) const override {
-    const twohop::TwoHopCover& cover = index_->cover();
-    return u < cover.NumNodes() ? LabelView(cover.Out(u)) : LabelView();
-  }
-  std::optional<LabelView> BorrowInLabel(NodeId v) const override {
-    const twohop::TwoHopCover& cover = index_->cover();
-    return v < cover.NumNodes() ? LabelView(cover.In(v)) : LabelView();
-  }
-  // The cover keeps packed SoA mirrors with real summaries — hand the
-  // kernels those instead of the strided AoS adaptation.
+  // The cover keeps packed SoA mirrors with real summaries — the
+  // kernels get those directly.
   std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
     const twohop::TwoHopCover& cover = index_->cover();
     return u < cover.NumNodes() ? cover.OutJoin(u) : twohop::JoinView{};

@@ -2,21 +2,19 @@
 // LIN/LOUT sets behind the storage layer", extended to block-
 // compressed v4 stores).
 //
-// The cache's unit is a shared_ptr<const DecodedBlock>. Two kinds of
-// entries share the budget:
-//
-//   block entries — a whole decoded v4 block (many rows), keyed by the
-//     backend's block handle. One cold probe pays one block decode;
-//     every other row in the block is then a hit.
-//   label entries — a single backend-materialized label wrapped as a
-//     one-row block (the classic copy route), keyed by (side, node).
+// The cache's unit is a shared_ptr<const DecodedBlock>: a whole
+// decoded v4 block (many rows), keyed by the backend's block handle.
+// One cold probe pays one block decode; every other row in the block
+// is then a hit. A weak row memo (GetRow/MemoRow), keyed by (side,
+// node), finds a node's row inside its block without a directory
+// search.
 //
 // Ownership/pinning rule: Get/Put hand out shared_ptr pins. Eviction
 // removes the CACHE's reference only — any batch still joining rows of
 // an evicted block keeps it alive through its pin, so there is no
 // "view invalidated by eviction" hazard and no minimum-capacity clamp.
-// Callers must hold the pin (engine::PinnedLabel) for as long as they
-// read the view; a raw span must never outlive its pin.
+// Callers must hold the pin (engine::PinnedJoin) for as long as they
+// read the view; a raw view must never outlive its pin.
 //
 // Budgeting is by DecodedBlock::ApproxBytes(), charged at insert.
 // After an insert pushes bytes_resident over the budget, least-
@@ -58,7 +56,7 @@ namespace hopi::engine {
 
 class LabelCache {
  public:
-  /// Which label set of a node a single-label entry caches.
+  /// Which label set of a node a row-memo entry locates.
   enum class Side : uint8_t { kOut = 0, kIn = 1 };
 
   /// One relaxed read of every counter (see StatsSnapshot).
@@ -97,7 +95,7 @@ class LabelCache {
   LabelCache(const LabelCache&) = delete;
   LabelCache& operator=(const LabelCache&) = delete;
 
-  /// Key of a single-label (copy route) entry. Bit 63 clear.
+  /// Row-memo key of one node's label. Bit 63 clear.
   static uint64_t KeyFor(Side side, NodeId node) {
     return (static_cast<uint64_t>(node) << 1) |
            static_cast<uint64_t>(side);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 
 #include "graph/subgraph.h"
@@ -374,7 +375,11 @@ std::pair<bool, std::optional<uint32_t>> ComposeThreeLegs(
     if (!tail.has_value()) continue;
     reachable = true;
     if (!want_distance) break;  // any connected route settles the bool
-    uint32_t total = *current_source_leg + r.dist + *tail;
+    // Saturating min-plus: a sum past UINT32_MAX clamps there instead
+    // of wrapping around into a short, wrong distance.
+    uint64_t sum = uint64_t{*current_source_leg} + r.dist + *tail;
+    uint32_t total = static_cast<uint32_t>(
+        std::min<uint64_t>(sum, std::numeric_limits<uint32_t>::max()));
     if (!best.has_value() || total < *best) best = total;
   }
   if (!want_distance) return {reachable, std::nullopt};

@@ -185,8 +185,9 @@ using LegLookup = std::function<std::optional<uint32_t>(NodeId)>;
 
 /// Pure min-plus composition of one cross-shard probe from its legs:
 /// reachable iff some route (s, t, d) has both legs reachable; the
-/// distance is min over such routes of source_leg(s) + d + target_leg(t).
-/// Deterministic and engine-free — the merge layer's unit-test seam.
+/// distance is min over such routes of source_leg(s) + d + target_leg(t),
+/// each sum saturating at UINT32_MAX. Deterministic and engine-free —
+/// the merge layer's unit-test seam.
 /// Returns {reachable, distance}; distance is engaged only when
 /// `want_distance` and reachable.
 std::pair<bool, std::optional<uint32_t>> ComposeThreeLegs(

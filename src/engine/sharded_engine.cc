@@ -723,7 +723,13 @@ ShardStats ShardedEngine::Stats() const {
 
 void ShardedEngine::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    shutdown_.store(true, std::memory_order_release);
+    {
+      // Under both waiters' mutexes: a store between a loop's check of
+      // shutdown_ and its wait would otherwise lose the wakeup and hang
+      // the joins below.
+      std::scoped_lock lock(watch_mu_, path_mu_);
+      shutdown_.store(true, std::memory_order_release);
+    }
     watch_cv_.notify_all();
     path_cv_.notify_all();
     if (watchdog_.joinable()) watchdog_.join();

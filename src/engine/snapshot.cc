@@ -57,17 +57,6 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfIndex(
       std::move(index), std::move(tags)));
 }
 
-std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfStore(
-    std::shared_ptr<const collection::Collection> collection,
-    std::shared_ptr<const storage::LinLoutStore> store,
-    std::shared_ptr<const query::TagIndex> tags) {
-  const storage::LinLoutStore* raw = store.get();
-  return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "linlout",
-      [raw] { return std::make_unique<LinLoutBackend>(*raw); },
-      std::move(store), std::move(tags)));
-}
-
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
     std::shared_ptr<const collection::Collection> collection,
     std::shared_ptr<const storage::MappedLinLoutStore> store,

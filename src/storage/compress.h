@@ -90,8 +90,8 @@ struct CompressOptions {
 /// One fully decoded block: every row materialized as LabelEntry rows,
 /// plus the row directory needed to serve RowFor(key) lookups. This is
 /// the unit the engine's LabelCache holds (shared_ptr-pinned: eviction
-/// drops the cache's reference, in-flight LabelViews keep the block
-/// alive).
+/// drops the cache's reference, in-flight engine::PinnedJoin views keep
+/// the block alive).
 struct DecodedBlock {
   std::vector<twohop::LabelEntry> entries;  // rows back to back
   std::vector<uint32_t> row_keys;           // strictly ascending
@@ -133,9 +133,8 @@ struct DecodedBlock {
   }
 
   /// Fills the SoA columns and per-row summaries from `entries` /
-  /// `row_begin`. DecodeLabelBlock calls this; hand-built blocks (the
-  /// engine's one-row copy route, tests) must call it after populating
-  /// the AoS members.
+  /// `row_begin`. DecodeLabelBlock calls this; hand-built blocks
+  /// (tests) must call it after populating the AoS members.
   void BuildJoinMirrors() {
     centers.resize(entries.size());
     dists.resize(entries.size());

@@ -2,7 +2,7 @@
 // validate.
 //
 // This header is the single in-code definition of the format; the
-// byte-level specification (including the v1/v2 history and the error
+// byte-level specification (including the version history and the error
 // contract) lives in docs/FILE_FORMAT.md and MUST be updated in the
 // same change as this file.
 //
@@ -70,9 +70,6 @@ inline constexpr char kTrailerMagic[4] = {'I', 'P', 'O', 'H'};
 inline constexpr uint32_t kFormatVersion = 3;
 /// v4: block-compressed rows (storage/compress.h), decoded lazily.
 inline constexpr uint32_t kFormatVersionV4 = 4;
-/// v2 (PR 2's header + bare row triplets) is still readable by the
-/// buffered reader; the v3 writer is the migration path.
-inline constexpr uint32_t kLegacyFormatVersion = 2;
 inline constexpr uint32_t kFlagDistance = 1u << 0;
 inline constexpr uint32_t kKnownFlags = kFlagDistance;
 
@@ -180,7 +177,7 @@ Result<RawHeader> ReadRawHeader(std::span<const std::byte> image,
 /// Full v3 decode: checksum, section table bounds, directory/row
 /// sortedness and cross-section consistency. The returned view aliases
 /// `image`. Errors: Corruption (torn/bit-flipped/inconsistent file),
-/// Unsupported (not version 3 — v2 callers use their own path).
+/// Unsupported (not version 3).
 Result<FileView> ParseV3(std::span<const std::byte> image,
                          const std::string& path);
 
@@ -207,7 +204,7 @@ Result<FileViewV4> ParseV4(std::span<const std::byte> image,
 /// Serializes the four sorted runs into a complete v3 file image
 /// (header, sections, checksum trailer). The forward runs must be
 /// sorted by (id, center), the backward runs by (center, id) — exactly
-/// the invariant LinLoutStore maintains.
+/// what WriteLinLoutFile builds.
 std::vector<std::byte> BuildFileImage(std::span<const TableRow> lin_fwd,
                                       std::span<const TableRow> lout_fwd,
                                       std::span<const TableRow> lin_bwd,
@@ -262,7 +259,7 @@ std::span<const Rows> LookupRows(std::span<const DirEntry> dir,
 /// Header introspection for tools and the torn-write tests: reads just
 /// the header + section table of a v3/v4 file (no checksum pass).
 /// `sections` holds kNumSections entries for v3, kNumSectionsV4 for
-/// v4, and is empty for v2 (which has no section table).
+/// v4, and is empty for any other version.
 struct FormatInfo {
   uint32_t version = 0;
   uint32_t flags = 0;

@@ -1,11 +1,14 @@
-// LIN/LOUT index-organized tables (paper Sec 3.4 / Sec 5.1).
+// LIN/LOUT index-organized tables (paper Sec 3.4 / Sec 5.1) — the writer.
 //
 // The paper stores the cover in two Oracle tables,
 //   LIN(ID, INID[, DIST])  and  LOUT(ID, OUTID[, DIST]),
 // each as an index-organized table sorted by the *forward* key (ID, INID)
 // plus a *backward* index on (INID, ID) — doubling the stored integers.
-// This embedded store keeps exactly those four sorted runs and executes
-// the paper's SQL access paths:
+// WriteLinLoutFile lays a cover out as exactly those four sorted runs in
+// one crash-safe file (storage/format.h, docs/FILE_FORMAT.md).
+//
+// MappedLinLoutStore (storage/mapped_linlout.h) is the one reader. It
+// executes the paper's SQL access paths over the file:
 //   connection test:  intersect LOUT rows of ID1 with LIN rows of ID2
 //                     (SELECT COUNT(*) ... WHERE LOUT.OUTID = LIN.INID),
 //   distance lookup:  SELECT MIN(LOUT.DIST + LIN.DIST) ...,
@@ -14,27 +17,24 @@
 // stored in their own labels.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "graph/digraph.h"
 #include "storage/compress.h"
 #include "twohop/cover.h"
-#include "util/result.h"
+#include "util/status.h"
 
 namespace hopi::storage {
 
-/// Writer knobs for the versioned WriteToFile overload.
+/// Writer knobs for WriteLinLoutFile.
 struct StoreWriteOptions {
   /// kFormatVersion (3, raw rows — the zero-copy mmap layout) or
   /// kFormatVersionV4 (4, block-compressed rows — smaller files,
   /// decoded lazily by MappedLinLoutStore).
   uint32_t format_version = 4;
   /// Block sizing for v4; ignored when writing v3.
-  CompressOptions compress;
+  CompressOptions compress = {};
 };
 
 /// One table row: a node and one center from its label.
@@ -48,84 +48,14 @@ struct TableRow {
   }
 };
 
-class LinLoutStore {
- public:
-  LinLoutStore() = default;
-
-  /// Loads the cover into the four sorted runs.
-  static LinLoutStore FromCover(const twohop::TwoHopCover& cover,
-                                bool with_distance);
-
-  /// Reconstructs a TwoHopCover (for rebuilding an index from storage).
-  twohop::TwoHopCover ToCover(size_t num_nodes) const;
-
-  // ---- the paper's query shapes ----
-
-  /// True iff id1 ->* id2 according to the stored cover.
-  bool TestConnection(NodeId id1, NodeId id2) const;
-
-  /// SELECT MIN(LOUT.DIST + LIN.DIST) ... — nullopt when unconnected.
-  std::optional<uint32_t> MinDistance(NodeId id1, NodeId id2) const;
-
-  /// All strict descendants of `id` (sorted), via backward LIN probes.
-  std::vector<NodeId> Descendants(NodeId id) const;
-
-  /// All strict ancestors of `id` (sorted), via backward LOUT probes.
-  std::vector<NodeId> Ancestors(NodeId id) const;
-
-  /// Forward range scans (rows of one node), as the paper's
-  /// index-organized tables would return them.
-  std::vector<TableRow> ScanLin(NodeId id) const;
-  std::vector<TableRow> ScanLout(NodeId id) const;
-
-  /// Forward range scans exported as 2-hop label entries, filling
-  /// `out` in one pass — the QueryEngine label-cache fill path.
-  void LinLabel(NodeId id, std::vector<twohop::LabelEntry>* out) const;
-  void LoutLabel(NodeId id, std::vector<twohop::LabelEntry>* out) const;
-
-  // ---- storage accounting (Sec 7.2) ----
-
-  /// Total label entries (|L| — rows across LIN and LOUT).
-  uint64_t NumEntries() const { return lin_fwd_.size() + lout_fwd_.size(); }
-
-  /// Integers stored: 2 per row in the forward table + 2 per row in the
-  /// backward index (plus one DIST integer per forward row when
-  /// distance-aware), matching the paper's arithmetic.
-  uint64_t StorageIntegers() const;
-
-  bool with_distance() const { return with_distance_; }
-
-  // ---- persistence ----
-  //
-  // Files use the versioned on-disk format defined in storage/format.h
-  // and specified byte-by-byte in docs/FILE_FORMAT.md. The parameter-
-  // less WriteToFile emits v3 (raw rows + section table + trailing
-  // CRC-32, the zero-copy mmap layout); the options overload can emit
-  // v4 (block-compressed rows) instead. Both are crash-safe: the image
-  // is staged in a sibling temp file, fsynced, and atomically renamed
-  // into place, so readers see either the old file or the new one —
-  // never a torn mix.
-  //
-  // ReadFromFile accepts v2 through v4 (reading an old file and
-  // writing it back migrates it forward). Stale/future versions fail
-  // with Unsupported; foreign, truncated, or bit-flipped files fail
-  // with Corruption — never garbage rows. For zero-copy (v3) or
-  // lazily decoded (v4) reads see storage/mapped_linlout.h.
-
-  Status WriteToFile(const std::string& path) const;
-  Status WriteToFile(const std::string& path,
-                     const StoreWriteOptions& options) const;
-  static Result<LinLoutStore> ReadFromFile(const std::string& path);
-
- private:
-  // Forward runs sorted by (id, center); backward runs by (center, id).
-  std::vector<TableRow> lin_fwd_;
-  std::vector<TableRow> lin_bwd_;
-  std::vector<TableRow> lout_fwd_;
-  std::vector<TableRow> lout_bwd_;
-  bool with_distance_ = false;
-
-  void BuildBackwardRuns();
-};
+/// Writes `cover` as a LIN/LOUT file of `options.format_version`. The
+/// DIST column is stored when `with_distance`, zeroed otherwise. The
+/// image is staged in a sibling temp file, fsynced, and atomically
+/// renamed into place, so readers see either the old file or the new
+/// one — never a torn mix. Errors: InvalidArgument for a version this
+/// build does not write, IOError from the filesystem.
+Status WriteLinLoutFile(const twohop::TwoHopCover& cover, bool with_distance,
+                        const std::string& path,
+                        const StoreWriteOptions& options = {});
 
 }  // namespace hopi::storage

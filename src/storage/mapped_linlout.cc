@@ -65,11 +65,14 @@ Result<MappedLinLoutStore> MappedLinLoutStore::Open(
   }
   store.file_bytes_ = image.size();
   HOPI_ASSIGN_OR_RETURN(RawHeader header, ReadRawHeader(image, path));
-  if (header.version == kLegacyFormatVersion) {
+  if (header.version != kFormatVersion &&
+      header.version != kFormatVersionV4) {
     return Status::Unsupported(
-        "LIN/LOUT file " + path +
-        " uses format v2 (no section table) — read it with "
-        "LinLoutStore::ReadFromFile and WriteToFile to migrate to v3");
+        "LIN/LOUT file " + path + " has format version " +
+        std::to_string(header.version) + "; this build reads versions " +
+        std::to_string(kFormatVersion) + " and " +
+        std::to_string(kFormatVersionV4) +
+        " — rebuild the store from the cover with WriteLinLoutFile");
   }
   if (header.version == kFormatVersionV4) {
     ParseV4Options parse_options;
@@ -86,6 +89,49 @@ Result<MappedLinLoutStore> MappedLinLoutStore::Open(
   store.num_lin_entries_ = store.view_.lin_rows.size();
   store.num_lout_entries_ = store.view_.lout_rows.size();
   return store;
+}
+
+Result<twohop::TwoHopCover> MappedLinLoutStore::ToCover(
+    size_t num_nodes) const {
+  twohop::TwoHopCover cover(num_nodes);
+  auto add_row = [&cover, num_nodes](bool lin, NodeId id,
+                                     std::span<const twohop::LabelEntry> row) {
+    if (id >= num_nodes) {
+      return Status::InvalidArgument(
+          "LIN/LOUT row for node " + std::to_string(id) +
+          " does not fit a cover of " + std::to_string(num_nodes) + " nodes");
+    }
+    for (const twohop::LabelEntry& e : row) {
+      if (lin) {
+        cover.AddIn(id, e.center, e.dist);
+      } else {
+        cover.AddOut(id, e.center, e.dist);
+      }
+    }
+    return Status::OK();
+  };
+  if (!compressed()) {
+    for (const DirEntry& d : view_.lin_dir) {
+      HOPI_RETURN_NOT_OK(
+          add_row(true, d.key, view_.lin_rows.subspan(d.begin, d.count)));
+    }
+    for (const DirEntry& d : view_.lout_dir) {
+      HOPI_RETURN_NOT_OK(
+          add_row(false, d.key, view_.lout_rows.subspan(d.begin, d.count)));
+    }
+    return cover;
+  }
+  for (uint64_t group : {kGroupLin, kGroupLout}) {
+    for (size_t i = 0; i < SectionForGroup(group)->blocks.size(); ++i) {
+      HOPI_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedBlock> block,
+                            DecodeBlock(MakeHandle(group, i)));
+      for (size_t r = 0; r < block->NumRows(); ++r) {
+        HOPI_RETURN_NOT_OK(add_row(group == kGroupLin, block->row_keys[r],
+                                   block->Row(r)));
+      }
+    }
+  }
+  return cover;
 }
 
 // ---- v4 block access ----
@@ -208,141 +254,70 @@ Status MappedLinLoutStore::VerifyBlocks() const {
 
 // ---- the paper's query shapes ----
 
-bool MappedLinLoutStore::TestConnection(NodeId id1, NodeId id2) const {
-  if (id1 == id2) return true;
-  if (!compressed()) {
-    auto lout = LoutSpan(id1);
-    auto lin = LinSpan(id2);
-    return twohop::JoinViews(
-               id1, id2,
-               twohop::JoinView::FromEntries(lout.data(), lout.size()),
-               twohop::JoinView::FromEntries(lin.data(), lin.size()),
-               /*want_distance=*/false)
-        .connected;
-  }
+twohop::LabelJoinResult MappedLinLoutStore::JoinRows(
+    NodeId id1, NodeId id2, bool want_distance) const {
   auto lout = DecodeLoutRow(id1);
   auto lin = DecodeLinRow(id2);
-  if (!lout.ok() || !lin.ok()) return false;  // post-Open corruption only
+  if (!lout.ok() || !lin.ok()) return {};  // post-Open corruption only
   return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout->entries.data(),
-                                           lout->entries.size()),
-             twohop::JoinView::FromEntries(lin->entries.data(),
-                                           lin->entries.size()),
-             /*want_distance=*/false)
-      .connected;
+      id1, id2,
+      twohop::JoinView::FromEntries(lout->entries.data(),
+                                    lout->entries.size()),
+      twohop::JoinView::FromEntries(lin->entries.data(), lin->entries.size()),
+      want_distance);
+}
+
+bool MappedLinLoutStore::TestConnection(NodeId id1, NodeId id2) const {
+  return id1 == id2 || JoinRows(id1, id2, /*want_distance=*/false).connected;
 }
 
 std::optional<uint32_t> MappedLinLoutStore::MinDistance(NodeId id1,
                                                         NodeId id2) const {
   if (id1 == id2) return 0;
-  if (!compressed()) {
-    auto lout = LoutSpan(id1);
-    auto lin = LinSpan(id2);
-    return twohop::JoinViews(
-               id1, id2,
-               twohop::JoinView::FromEntries(lout.data(), lout.size()),
-               twohop::JoinView::FromEntries(lin.data(), lin.size()),
-               /*want_distance=*/true)
-        .distance;
-  }
-  auto lout = DecodeLoutRow(id1);
-  auto lin = DecodeLinRow(id2);
-  if (!lout.ok() || !lin.ok()) return std::nullopt;
-  return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout->entries.data(),
-                                           lout->entries.size()),
-             twohop::JoinView::FromEntries(lin->entries.data(),
-                                           lin->entries.size()),
-             /*want_distance=*/true)
-      .distance;
+  return JoinRows(id1, id2, /*want_distance=*/true).distance;
 }
 
 std::vector<NodeId> MappedLinLoutStore::Descendants(NodeId id) const {
-  std::vector<NodeId> result;
-  if (!compressed()) {
-    auto probe_center = [this, &result, id](NodeId center) {
-      if (center != id) result.push_back(center);  // the center itself
-      for (NodeId x :
-           LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, center)) {
-        if (x != id) result.push_back(x);
-      }
-    };
-    for (const twohop::LabelEntry& e : LoutSpan(id)) probe_center(e.center);
-    // Implicit self center: nodes whose LIN mentions `id`.
-    for (NodeId x : LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, id)) {
-      result.push_back(x);
-    }
-  } else {
-    LocalBlockCache blocks(this);
-    auto backward_row = [this, &blocks](NodeId center) {
-      std::span<const twohop::LabelEntry> none;
-      std::optional<uint64_t> handle = FindRow(kGroupLinBwd, center);
-      if (!handle) return none;
-      const DecodedBlock* block = blocks.Get(*handle);
-      return block == nullptr ? none : block->RowFor(center);
-    };
-    auto probe_center = [&result, &backward_row, id](NodeId center) {
-      if (center != id) result.push_back(center);
-      for (const twohop::LabelEntry& e : backward_row(center)) {
-        if (e.center != id) result.push_back(e.center);
-      }
-    };
-    auto lout = DecodeLoutRow(id);
-    if (lout.ok()) {
-      for (const twohop::LabelEntry& e : lout->entries) {
-        probe_center(e.center);
-      }
-    }
-    for (const twohop::LabelEntry& e : backward_row(id)) {
-      result.push_back(e.center);
-    }
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
+  return CollectReachable(id, /*descendants=*/true);
 }
 
 std::vector<NodeId> MappedLinLoutStore::Ancestors(NodeId id) const {
-  std::vector<NodeId> result;
-  if (!compressed()) {
-    auto probe_center = [this, &result, id](NodeId center) {
-      if (center != id) result.push_back(center);
+  return CollectReachable(id, /*descendants=*/false);
+}
+
+std::vector<NodeId> MappedLinLoutStore::CollectReachable(
+    NodeId id, bool descendants) const {
+  // Descendants: every center c in LOUT(id), plus every node whose LIN
+  // holds c (the backward LIN index). Ancestors: the mirror image.
+  LocalBlockCache blocks(this);
+  auto for_backward_row = [&](NodeId center, auto&& visit) {
+    if (!compressed()) {
       for (NodeId x :
-           LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, center)) {
+           descendants
+               ? LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, center)
+               : LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, center)) {
+        visit(x);
+      }
+      return;
+    }
+    std::optional<uint64_t> handle =
+        FindRow(descendants ? kGroupLinBwd : kGroupLoutBwd, center);
+    const DecodedBlock* block = handle ? blocks.Get(*handle) : nullptr;
+    if (block == nullptr) return;
+    for (const twohop::LabelEntry& e : block->RowFor(center)) visit(e.center);
+  };
+  std::vector<NodeId> result;
+  auto forward = descendants ? DecodeLoutRow(id) : DecodeLinRow(id);
+  if (forward.ok()) {
+    for (const twohop::LabelEntry& e : forward->entries) {
+      if (e.center != id) result.push_back(e.center);  // the center itself
+      for_backward_row(e.center, [&result, id](NodeId x) {
         if (x != id) result.push_back(x);
-      }
-    };
-    for (const twohop::LabelEntry& e : LinSpan(id)) probe_center(e.center);
-    for (NodeId x : LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, id)) {
-      result.push_back(x);
-    }
-  } else {
-    LocalBlockCache blocks(this);
-    auto backward_row = [this, &blocks](NodeId center) {
-      std::span<const twohop::LabelEntry> none;
-      std::optional<uint64_t> handle = FindRow(kGroupLoutBwd, center);
-      if (!handle) return none;
-      const DecodedBlock* block = blocks.Get(*handle);
-      return block == nullptr ? none : block->RowFor(center);
-    };
-    auto probe_center = [&result, &backward_row, id](NodeId center) {
-      if (center != id) result.push_back(center);
-      for (const twohop::LabelEntry& e : backward_row(center)) {
-        if (e.center != id) result.push_back(e.center);
-      }
-    };
-    auto lin = DecodeLinRow(id);
-    if (lin.ok()) {
-      for (const twohop::LabelEntry& e : lin->entries) {
-        probe_center(e.center);
-      }
-    }
-    for (const twohop::LabelEntry& e : backward_row(id)) {
-      result.push_back(e.center);
+      });
     }
   }
+  // Implicit self center: nodes whose label mentions `id` itself.
+  for_backward_row(id, [&result](NodeId x) { result.push_back(x); });
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;

@@ -1,16 +1,15 @@
-// Zero-copy, mmap-backed reader for LIN/LOUT files (v3 + v4 formats).
+// The reader for LIN/LOUT files (v3 + v4 formats; the writer is
+// storage/linlout.h).
 //
-// Where LinLoutStore::ReadFromFile copies every table row onto the heap
-// and re-sorts the backward runs, MappedLinLoutStore maps the file
-// read-only and serves queries off the page cache. What that looks
-// like depends on the format version:
+// MappedLinLoutStore maps the file read-only and serves queries off the
+// page cache. What that looks like depends on the format version:
 //
 //   v3 (raw rows)  — the forward sections are stored as (center, dist)
 //     pairs bit-identical to twohop::LabelEntry, so LinSpan/LoutSpan
 //     return borrowed spans over the mapping and the QueryEngine batch
 //     path joins them without a single row copy
-//     (engine::MappedLinLoutBackend wires this into the
-//     ReachabilityBackend borrow hook).
+//     (engine::MappedLinLoutBackend lends them through the
+//     ReachabilityBackend borrow hooks).
 //
 //   v4 (block-compressed rows) — label rows live in compressed blocks
 //     (storage/compress.h) and are decoded on demand: LinBlockHandle/
@@ -85,13 +84,18 @@ class MappedLinLoutStore {
  public:
   /// Opens and validates `path`. Errors: IOError (missing/unreadable
   /// file), Corruption (torn write, checksum mismatch, inconsistent
-  /// sections), Unsupported (v1/v2 or future versions — v2 files are
-  /// readable via LinLoutStore::ReadFromFile and migrate forward on
-  /// the next WriteToFile).
+  /// sections), Unsupported (any version but 3 and 4 — rebuild those
+  /// files from the cover with WriteLinLoutFile).
   static Result<MappedLinLoutStore> Open(const std::string& path,
                                          MappedOpenOptions options = {});
 
-  // ---- the paper's query shapes (parity with LinLoutStore) ----
+  /// Rebuilds the stored cover over `num_nodes` nodes (an index can be
+  /// rebuilt from disk this way). Errors: InvalidArgument when a row
+  /// names a node >= num_nodes (the file belongs to another
+  /// collection), Corruption from a block decode (lazy v4 opens only).
+  Result<twohop::TwoHopCover> ToCover(size_t num_nodes) const;
+
+  // ---- the paper's query shapes ----
 
   /// True iff id1 ->* id2 according to the stored cover (reflexive).
   bool TestConnection(NodeId id1, NodeId id2) const;
@@ -152,9 +156,12 @@ class MappedLinLoutStore {
   /// (Open already verified everything).
   Status VerifyBlocks() const;
 
-  // ---- storage accounting (parity with LinLoutStore) ----
+  // ---- storage accounting (Sec 7.2) ----
 
+  /// Total label entries (|L| — rows across LIN and LOUT).
   uint64_t NumEntries() const { return num_lin_entries_ + num_lout_entries_; }
+  /// Integers stored, by the paper's arithmetic: 2 per row (3 with the
+  /// DIST column) in the forward table, doubled by the backward index.
   uint64_t StorageIntegers() const {
     return NumEntries() * (2 + (with_distance() ? 1 : 0)) * 2;
   }
@@ -182,6 +189,13 @@ class MappedLinLoutStore {
   /// nullopt when the key has no row there.
   std::optional<uint64_t> FindRow(uint64_t group, uint32_t key) const;
   Result<PinnedRow> DecodeForwardRow(uint64_t group, NodeId id) const;
+  /// LOUT(id1) ⋈ LIN(id2) for id1 != id2; a row that fails to decode
+  /// joins as "unconnected".
+  twohop::LabelJoinResult JoinRows(NodeId id1, NodeId id2,
+                                   bool want_distance) const;
+  /// Descendants (or ancestors) of `id` via the forward row and the
+  /// persisted backward index.
+  std::vector<NodeId> CollectReachable(NodeId id, bool descendants) const;
 
   // Exactly one of map_/buffer_ backs the views; both keep their data
   // pointer stable under move, so the spans survive moves.

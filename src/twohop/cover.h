@@ -44,9 +44,9 @@ struct LabelJoinResult {
 /// (u, v) with u != v is connected when Lout(u) and Lin(v) share a
 /// center, u appears as a center in Lin(v), or v appears as a center in
 /// Lout(u). Both ranges must be sorted by center id. This is the single
-/// definition of the join, shared by TwoHopCover queries, the LinLout
-/// table scans (Entry = storage::TableRow), and the QueryEngine batch
-/// path; callers handle the reflexive u == v case themselves.
+/// definition of the join, shared by TwoHopCover queries, the LIN/LOUT
+/// file reader, and the QueryEngine batch path; callers handle the
+/// reflexive u == v case themselves.
 /// `Entry` needs `.center` (NodeId) and `.dist` (uint32_t) fields.
 template <typename Entry>
 LabelJoinResult JoinLabelRanges(NodeId u, NodeId v, const Entry* lout,

@@ -9,8 +9,8 @@
 //
 // A JoinView is a borrowed, read-only view: whoever produced it owns
 // the arrays (a cover's SoA mirror, a decoded block's packed columns,
-// an mmapped file image) and the view must not outlive them — the same
-// lifetime contract as engine::LabelView.
+// an mmapped file image) and the view must not outlive them (see
+// engine::PinnedJoin for the pinning rule).
 #pragma once
 
 #include <algorithm>
@@ -87,9 +87,9 @@ struct LabelSummary {
 ///              mirror, a DecodedBlock's packed arrays). This is the
 ///              layout the SIMD kernels require.
 ///   stride k — a strided walk over array-of-structs storage
-///              (LabelEntry spans -> stride 2, storage::TableRow runs
-///              -> stride 3). Scalar and galloping kernels handle any
-///              stride; dispatch never routes these to SIMD.
+///              (LabelEntry spans -> stride 2). Scalar and galloping
+///              kernels handle any stride; dispatch never routes these
+///              to SIMD.
 ///
 /// `dists == nullptr` means every distance is 0 (plain covers,
 /// backward runs) — center(i)/dist_at(i) are the only sanctioned
@@ -107,8 +107,8 @@ struct JoinView {
   }
 
   /// Adapts a sorted array-of-structs label (anything with `.center`
-  /// and `.dist` fields laid out as uint32s, e.g. twohop::LabelEntry
-  /// or storage::TableRow) as a strided view. The summary defaults to
+  /// and `.dist` fields laid out as uint32s, e.g. twohop::LabelEntry)
+  /// as a strided view. The summary defaults to
   /// Unknown — pass one when the producer keeps it.
   template <typename Entry>
   static JoinView FromEntries(const Entry* e, size_t n,

@@ -22,9 +22,16 @@ struct Attribute {
 };
 
 /// An XML element. Owns its children.
+///
+/// Every walk over the tree — and its destruction — runs on an explicit
+/// stack rather than the call stack, so documents nested tens of
+/// thousands of levels deep are safe in every build configuration.
 class Element {
  public:
   explicit Element(std::string tag) : tag_(std::move(tag)) {}
+  /// Frees the subtree iteratively (the implicit unique_ptr chain would
+  /// recurse once per level).
+  ~Element();
 
   const std::string& tag() const { return tag_; }
 
@@ -51,8 +58,16 @@ class Element {
   /// Depth-first (pre-order) visit of the subtree.
   template <typename Fn>
   void Visit(Fn&& fn) const {
-    fn(*this);
-    for (const auto& c : children_) c->Visit(fn);
+    std::vector<const Element*> stack = {this};
+    while (!stack.empty()) {
+      const Element* e = stack.back();
+      stack.pop_back();
+      fn(*e);
+      // Reverse push so children are visited in document order.
+      for (auto it = e->children_.rbegin(); it != e->children_.rend(); ++it) {
+        stack.push_back(it->get());
+      }
+    }
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 namespace hopi::xml {
 
@@ -289,33 +290,46 @@ Result<Document> ParseDocument(std::string_view input, std::string name) {
   return doc;
 }
 
-namespace {
-
-void SerializeRec(const Element& e, int depth, std::ostringstream* out) {
-  std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  *out << indent << '<' << e.tag();
-  for (const Attribute& a : e.attributes()) {
-    *out << ' ' << a.name << "=\"" << EscapeText(a.value) << '"';
-  }
-  if (e.children().empty() && e.text().empty()) {
-    *out << "/>\n";
-    return;
-  }
-  *out << '>';
-  if (!e.text().empty()) *out << EscapeText(e.text());
-  if (!e.children().empty()) {
-    *out << '\n';
-    for (const auto& c : e.children()) SerializeRec(*c, depth + 1, out);
-    *out << indent;
-  }
-  *out << "</" << e.tag() << ">\n";
-}
-
-}  // namespace
-
 std::string Serialize(const Element& root) {
   std::ostringstream out;
-  SerializeRec(root, 0, &out);
+  // An explicit stack instead of recursion (deep documents would
+  // overflow the call stack): each step opens an element or, once its
+  // children are written, closes it.
+  struct Step {
+    const Element* element;
+    size_t depth;
+    bool close;
+  };
+  std::vector<Step> stack = {{&root, 0, false}};
+  while (!stack.empty()) {
+    Step step = stack.back();
+    stack.pop_back();
+    const Element& e = *step.element;
+    std::string indent(step.depth * 2, ' ');
+    if (step.close) {
+      out << indent << "</" << e.tag() << ">\n";
+      continue;
+    }
+    out << indent << '<' << e.tag();
+    for (const Attribute& a : e.attributes()) {
+      out << ' ' << a.name << "=\"" << EscapeText(a.value) << '"';
+    }
+    if (e.children().empty() && e.text().empty()) {
+      out << "/>\n";
+      continue;
+    }
+    out << '>';
+    if (!e.text().empty()) out << EscapeText(e.text());
+    if (e.children().empty()) {
+      out << "</" << e.tag() << ">\n";
+      continue;
+    }
+    out << '\n';
+    stack.push_back({&e, step.depth, true});
+    for (auto it = e.children().rbegin(); it != e.children().rend(); ++it) {
+      stack.push_back({it->get(), step.depth + 1, false});
+    }
+  }
   return out.str();
 }
 

@@ -28,6 +28,7 @@
 #include "engine/sharded_engine.h"
 #include "engine/snapshot.h"
 #include "hopi/build.h"
+#include "storage/linlout.h"
 #include "test_util.h"
 #include "twohop/join_kernel.h"
 
@@ -127,11 +128,12 @@ void ExpectAllAccessPathsMatchOracle(const Collection& c,
   TransitiveClosureIndex closure =
       TransitiveClosureIndex::Build(c.ElementGraph(), with_distance);
 
-  storage::LinLoutStore store =
-      storage::LinLoutStore::FromCover(index.cover(), with_distance);
   std::string path = ::testing::TempDir() + "hopi_differential_" + context +
                      ".bin";
-  ASSERT_TRUE(store.WriteToFile(path).ok());
+  ASSERT_TRUE(storage::WriteLinLoutFile(
+                  index.cover(), with_distance, path,
+                  {.format_version = storage::kFormatVersion})
+                  .ok());
   auto mapped = storage::MappedLinLoutStore::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   // The same cover block-compressed: the v4 decode path faces the
@@ -143,18 +145,19 @@ void ExpectAllAccessPathsMatchOracle(const Collection& c,
   v4_options.format_version = storage::kFormatVersionV4;
   v4_options.compress.target_block_bytes = 256;
   v4_options.compress.cluster_split_bytes = 64;
-  ASSERT_TRUE(store.WriteToFile(v4_path, v4_options).ok());
+  ASSERT_TRUE(
+      storage::WriteLinLoutFile(index.cover(), with_distance, v4_path,
+                                v4_options)
+          .ok());
   auto mapped_v4 = storage::MappedLinLoutStore::Open(v4_path);
   ASSERT_TRUE(mapped_v4.ok()) << mapped_v4.status();
 
   engine::HopiIndexBackend hopi_backend(index);
-  engine::LinLoutBackend linlout_backend(store);
   engine::MappedLinLoutBackend mapped_backend(*mapped);
   engine::MappedLinLoutBackend mapped_v4_backend(*mapped_v4);
   engine::ClosureBackend closure_backend(closure, with_distance);
   const engine::ReachabilityBackend* backends[] = {
-      &hopi_backend, &linlout_backend, &mapped_backend, &mapped_v4_backend,
-      &closure_backend};
+      &hopi_backend, &mapped_backend, &mapped_v4_backend, &closure_backend};
 
   // Scalar probes: full matrix against every backend. Mismatches are
   // counted manually (EXPECT per probe would drown the log — and the

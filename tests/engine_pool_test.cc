@@ -26,6 +26,7 @@
 #include "engine/snapshot.h"
 #include "hopi/baseline.h"
 #include "hopi/build.h"
+#include "storage/linlout.h"
 #include "test_util.h"
 
 namespace hopi::engine {
@@ -219,10 +220,16 @@ TEST_F(EnginePoolFixture, SwapRebindsWorkersAndReportsNewVersion) {
 }
 
 TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
-  // The linlout (copy-route) backend exercises the per-worker caches.
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index_->cover(), true));
-  auto snapshot = BackendSnapshot::OfStore(Unowned(c_), store);
+  // The block route of a v4 store exercises the per-worker caches.
+  std::string path = ::testing::TempDir() + "hopi_pool_worker_cache.bin";
+  ASSERT_TRUE(storage::WriteLinLoutFile(index_->cover(), true, path).ok());
+  auto opened = storage::MappedLinLoutStore::Open(path);
+  std::remove(path.c_str());  // the mapping outlives the name
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  ASSERT_TRUE(opened->compressed());
+  auto store =
+      std::make_shared<storage::MappedLinLoutStore>(std::move(opened).value());
+  auto snapshot = BackendSnapshot::OfMappedStore(Unowned(c_), store);
   EnginePool pool(snapshot, {.num_threads = 2});
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -757,22 +764,28 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   HopiIndex index = MustBuild(&c);
   auto hopi_snapshot = BackendSnapshot::Freeze(index);
 
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index.cover(), false));
-  std::string path = ::testing::TempDir() + "hopi_pool_swap_kinds.bin";
-  ASSERT_TRUE(store->WriteToFile(path).ok());
-  auto mapped_result = storage::MappedLinLoutStore::Open(path);
-  ASSERT_TRUE(mapped_result.ok()) << mapped_result.status();
-  auto mapped = std::make_shared<storage::MappedLinLoutStore>(
-      std::move(mapped_result).value());
   auto collection = std::shared_ptr<const Collection>(
       hopi_snapshot, &hopi_snapshot->collection());
-  // The rotated snapshots share the frozen collection, so they can
-  // also share its tag index (built once by Freeze).
-  auto store_snapshot =
-      BackendSnapshot::OfStore(collection, store, hopi_snapshot->tags());
-  auto mapped_snapshot = BackendSnapshot::OfMappedStore(
-      collection, mapped, hopi_snapshot->tags());
+  // The same cover as a raw v3 and a block-compressed v4 file. The
+  // rotated snapshots share the frozen collection, so they can also
+  // share its tag index (built once by Freeze).
+  std::shared_ptr<const BackendSnapshot> mapped_snapshots[2];
+  const uint32_t versions[2] = {storage::kFormatVersion,
+                                storage::kFormatVersionV4};
+  for (int k = 0; k < 2; ++k) {
+    std::string path = ::testing::TempDir() + "hopi_pool_swap_kinds.bin";
+    ASSERT_TRUE(storage::WriteLinLoutFile(index.cover(), false, path,
+                                          {.format_version = versions[k]})
+                    .ok());
+    auto opened = storage::MappedLinLoutStore::Open(path);
+    std::remove(path.c_str());  // the mapping outlives the name
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    mapped_snapshots[k] = BackendSnapshot::OfMappedStore(
+        collection,
+        std::make_shared<storage::MappedLinLoutStore>(
+            std::move(opened).value()),
+        hopi_snapshot->tags());
+  }
 
   const auto n = static_cast<NodeId>(c.NumElements());
   std::vector<bool> matrix(static_cast<size_t>(n) * n);
@@ -809,7 +822,7 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   }
   std::thread swapper([&] {
     const std::shared_ptr<const BackendSnapshot> rotation[] = {
-        store_snapshot, mapped_snapshot, hopi_snapshot};
+        mapped_snapshots[1], mapped_snapshots[0], hopi_snapshot};
     for (int s = 0; !done.load(); ++s) {
       pool.Swap(rotation[s % 3]);
       std::this_thread::yield();
@@ -820,7 +833,6 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   swapper.join();
   EXPECT_EQ(wrong.load(), 0u);
   pool.Shutdown();
-  std::remove(path.c_str());
 }
 
 // Serve-during-rebuild under fire: client threads hammer Batch() while

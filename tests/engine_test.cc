@@ -12,6 +12,7 @@
 #include "engine/label_cache.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
+#include "storage/linlout.h"
 #include "test_util.h"
 #include "twohop/join_kernel.h"
 
@@ -21,7 +22,7 @@ namespace {
 using collection::Collection;
 
 /// One distance-aware index over a small DBLP-like collection, exposed
-/// through all five backends (the mapped stores are round-tripped
+/// through all four backends (the mapped stores are round-tripped
 /// through actual v3 and v4 files, so this suite also proves both
 /// on-disk formats preserve every query shape).
 class BackendParityFixture : public ::testing::Test {
@@ -33,12 +34,14 @@ class BackendParityFixture : public ::testing::Test {
     auto index = BuildIndex(&c_, options);
     ASSERT_TRUE(index.ok()) << index.status();
     index_ = std::make_unique<HopiIndex>(std::move(index).value());
-    store_ = std::make_unique<storage::LinLoutStore>(
-        storage::LinLoutStore::FromCover(index_->cover(), true));
     closure_ = std::make_unique<TransitiveClosureIndex>(
         TransitiveClosureIndex::Build(c_.ElementGraph(), true));
     store_path_ = ::testing::TempDir() + "hopi_engine_parity.bin";
-    ASSERT_TRUE(store_->WriteToFile(store_path_).ok());
+    storage::StoreWriteOptions v3_options;
+    v3_options.format_version = storage::kFormatVersion;
+    ASSERT_TRUE(
+        storage::WriteLinLoutFile(index_->cover(), true, store_path_, v3_options)
+            .ok());
     auto mapped = storage::MappedLinLoutStore::Open(store_path_);
     ASSERT_TRUE(mapped.ok()) << mapped.status();
     mapped_store_ = std::make_unique<storage::MappedLinLoutStore>(
@@ -50,14 +53,15 @@ class BackendParityFixture : public ::testing::Test {
     storage::StoreWriteOptions v4_options;
     v4_options.compress.target_block_bytes = 256;
     v4_options.compress.cluster_split_bytes = 64;
-    ASSERT_TRUE(store_->WriteToFile(v4_path_, v4_options).ok());
+    ASSERT_TRUE(
+        storage::WriteLinLoutFile(index_->cover(), true, v4_path_, v4_options)
+            .ok());
     auto mapped_v4 = storage::MappedLinLoutStore::Open(v4_path_);
     ASSERT_TRUE(mapped_v4.ok()) << mapped_v4.status();
     mapped_v4_store_ = std::make_unique<storage::MappedLinLoutStore>(
         std::move(mapped_v4).value());
     ASSERT_TRUE(mapped_v4_store_->compressed());
     backends_.push_back(std::make_unique<HopiIndexBackend>(*index_));
-    backends_.push_back(std::make_unique<LinLoutBackend>(*store_));
     backends_.push_back(std::make_unique<ClosureBackend>(*closure_, true));
     backends_.push_back(std::make_unique<MappedLinLoutBackend>(*mapped_store_));
     backends_.push_back(
@@ -71,7 +75,6 @@ class BackendParityFixture : public ::testing::Test {
 
   Collection c_;
   std::unique_ptr<HopiIndex> index_;
-  std::unique_ptr<storage::LinLoutStore> store_;
   std::unique_ptr<TransitiveClosureIndex> closure_;
   std::unique_ptr<storage::MappedLinLoutStore> mapped_store_;
   std::unique_ptr<storage::MappedLinLoutStore> mapped_v4_store_;
@@ -180,8 +183,6 @@ class QueryEngineFixture : public BackendParityFixture {
     BackendParityFixture::SetUp();
     engines_.push_back(
         std::make_unique<QueryEngine>(QueryEngine::ForIndex(*index_)));
-    engines_.push_back(
-        std::make_unique<QueryEngine>(QueryEngine::ForStore(c_, *store_)));
     engines_.push_back(std::make_unique<QueryEngine>(
         QueryEngine::ForClosure(c_, *closure_, true)));
     engines_.push_back(std::make_unique<QueryEngine>(
@@ -249,7 +250,7 @@ class ScopedJoinKernel {
 TEST_F(QueryEngineFixture, AllJoinKernelsAgreeAcrossAllBackends) {
   // The CI matrix forces each kernel via HOPI_JOIN_KERNEL; this is the
   // in-process equivalent: every supported kernel must answer every
-  // probe shape identically through all five backends — scalar and
+  // probe shape identically through all four backends — scalar and
   // batch, reachability and distance — on top of the per-kernel
   // property suite in join_kernel_test.
   std::vector<NodePair> pairs = RandomPairs(400, 23);
@@ -300,19 +301,25 @@ TEST_F(QueryEngineFixture, AllJoinKernelsAgreeAcrossAllBackends) {
 }
 
 TEST_F(QueryEngineFixture, BatchDedupesRepeatedProbes) {
-  QueryEngine& engine = *engines_[1];  // LIN/LOUT store backend
+  QueryEngine& engine = *engines_[3];  // block-compressed mmap store
+  // A source with LOUT rows, so its label takes the block route.
+  NodeId u = 0;
+  while (!mapped_v4_store_->LoutBlockHandle(u)) ++u;
   std::vector<NodePair> pairs;
   for (int rep = 0; rep < 10; ++rep) {
-    for (NodeId v = 0; v < 20; ++v) pairs.push_back({0, v});
+    for (NodeId v = 0; v < 20; ++v) pairs.push_back({u, v});
   }
   BatchResponse r = engine.Batch({.pairs = pairs});
   EXPECT_EQ(r.stats.probes, 200u);
   EXPECT_EQ(r.stats.unique_probes, 20u);
-  // Two label fetches per distinct non-reflexive pair (the (0,0) probe
-  // needs no labels): LOUT(0) misses once and hits 18 times, each of
-  // the 19 LIN(v) sets misses once.
-  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, 2u * 19u);
-  EXPECT_EQ(r.stats.cache_hits, 18u);  // LOUT(0) reused within the batch
+  // Two label fetches per distinct non-reflexive pair (the (u,u) probe,
+  // if any, needs no labels), each taking exactly one route.
+  size_t non_reflexive = u < 20 ? 19 : 20;
+  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses +
+                r.stats.labels_borrowed,
+            2u * non_reflexive);
+  // LOUT(u) decodes once and is reused within the batch.
+  EXPECT_GE(r.stats.cache_hits, non_reflexive - 1);
   EXPECT_EQ(r.stats.backend_probes, 0u);
 }
 
@@ -332,7 +339,7 @@ TEST_F(QueryEngineFixture, HopiBackendBorrowsLabelsZeroCopy) {
 }
 
 TEST_F(QueryEngineFixture, RepeatedBatchServedFromLabelCache) {
-  QueryEngine& engine = *engines_[1];  // LIN/LOUT store backend
+  QueryEngine& engine = *engines_[3];  // block-compressed mmap store
   std::vector<NodePair> pairs = RandomPairs(100, 23);
   BatchResponse first = engine.Batch({.pairs = pairs});
   EXPECT_GT(first.stats.cache_misses, 0u);
@@ -344,7 +351,7 @@ TEST_F(QueryEngineFixture, RepeatedBatchServedFromLabelCache) {
 }
 
 TEST_F(QueryEngineFixture, MappedBackendBorrowsSpansZeroCopy) {
-  QueryEngine& engine = *engines_[3];  // mmap-backed store
+  QueryEngine& engine = *engines_[2];  // mmap-backed v3 store
   std::vector<NodePair> pairs;
   for (int rep = 0; rep < 10; ++rep) {
     for (NodeId v = 0; v < 20; ++v) pairs.push_back({0, v});
@@ -365,7 +372,7 @@ TEST_F(QueryEngineFixture, MappedBackendBorrowsSpansZeroCopy) {
 }
 
 TEST_F(QueryEngineFixture, MappedV4BackendDecodesBlocksThroughCache) {
-  QueryEngine& engine = *engines_[4];  // block-compressed mmap store
+  QueryEngine& engine = *engines_[3];  // block-compressed mmap store
   std::vector<NodePair> pairs = RandomPairs(200, 37);
   size_t non_reflexive = 0;
   {
@@ -408,7 +415,7 @@ TEST_F(QueryEngineFixture, MappedV4BackendDecodesBlocksThroughCache) {
 }
 
 TEST_F(QueryEngineFixture, LabelLessBackendFallsBackToDirectProbes) {
-  QueryEngine& engine = *engines_[2];  // closure backend: no labels
+  QueryEngine& engine = *engines_[1];  // closure backend: no labels
   std::vector<NodePair> pairs = RandomPairs(50, 29);
   pairs.push_back(pairs[0]);
   BatchResponse r = engine.Batch({.pairs = pairs});
@@ -416,6 +423,30 @@ TEST_F(QueryEngineFixture, LabelLessBackendFallsBackToDirectProbes) {
   EXPECT_EQ(r.stats.cache_misses, 0u);
   EXPECT_EQ(r.stats.backend_probes, r.stats.unique_probes);
   EXPECT_LT(r.stats.unique_probes, r.stats.probes);
+}
+
+/// Claims labels but lends none through either route: a broken
+/// backend the engine must report as a typed error.
+class RoutelessBackend final : public ReachabilityBackend {
+ public:
+  std::string_view Name() const override { return "routeless"; }
+  bool with_distance() const override { return false; }
+  bool IsReachable(NodeId u, NodeId v) const override { return u == v; }
+  std::optional<uint32_t> Distance(NodeId, NodeId) const override {
+    return std::nullopt;
+  }
+  std::vector<NodeId> Descendants(NodeId) const override { return {}; }
+  std::vector<NodeId> Ancestors(NodeId) const override { return {}; }
+  bool HasLabels() const override { return true; }
+};
+
+TEST_F(QueryEngineFixture, BackendLendingNoLabelIsATypedError) {
+  QueryEngine engine(c_, std::make_unique<RoutelessBackend>());
+  BatchResponse r = engine.Batch({.pairs = {{0, 1}, {2, 2}}});
+  EXPECT_TRUE(r.error.IsInternal()) << r.error;
+  EXPECT_NE(r.error.message().find("routeless"), std::string::npos);
+  EXPECT_FALSE(r.reachable[0]);
+  EXPECT_TRUE(r.reachable[1]);  // reflexive probes need no labels
 }
 
 TEST_F(QueryEngineFixture, QueryMatchesFreeFunctions) {
@@ -464,7 +495,7 @@ TEST_F(QueryEngineFixture, SimilarityOptionExpandsApproximateSteps) {
 // ---- the byte-budgeted block cache ----
 
 /// A one-row block for node `key` whose single entry points at
-/// `center` — the copy-route currency, and the smallest block there is.
+/// `center` — the smallest block there is.
 LabelBlock MakeBlock(NodeId key, NodeId center) {
   auto block = std::make_shared<storage::DecodedBlock>();
   block->entries = {{center, 1}};
@@ -503,7 +534,7 @@ TEST(LabelCacheTest, SidesAndBlockKeysAreDistinct) {
   EXPECT_EQ(cache.Get(OutKey(5))->Row(0)[0].center, 1u);
   EXPECT_EQ(cache.Get(InKey(5))->Row(0)[0].center, 2u);
   // Block keys live in their own namespace: a block handle can never
-  // collide with a copy-route key (bit 63 separates them).
+  // collide with a row-memo key (bit 63 separates them).
   EXPECT_EQ(cache.Get(LabelCache::BlockKeyFor(OutKey(5))), nullptr);
   cache.Put(LabelCache::BlockKeyFor(0), MakeBlock(5, 3));
   EXPECT_EQ(cache.Get(LabelCache::BlockKeyFor(0))->Row(0)[0].center, 3u);
@@ -557,7 +588,7 @@ TEST(LabelCacheTest, EvictionDoesNotInvalidatePinnedBlocks) {
   cache.Put(OutKey(2), MakeBlock(2, 22));  // evicts block 1
   EXPECT_EQ(cache.Get(OutKey(1)), nullptr);
   // The evicted block is alive for as long as the pin is held: this is
-  // the ownership rule PinnedLabel relies on mid-join.
+  // the ownership rule PinnedJoin relies on mid-join.
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(pinned->Row(0)[0].center, 11u);
   EXPECT_EQ(pinned.use_count(), 1);  // cache reference is gone
@@ -616,9 +647,16 @@ TEST(LabelCacheTest, ClearResetsEntriesButKeepsCounters) {
 }
 
 TEST_F(QueryEngineFixture, SmallCacheEvictsUnderPressure) {
+  // Room for about two decoded blocks of the v4 store.
+  NodeId u = 0;
+  while (!mapped_v4_store_->LoutBlockHandle(u)) ++u;
+  auto block =
+      mapped_v4_store_->DecodeBlock(*mapped_v4_store_->LoutBlockHandle(u));
+  ASSERT_TRUE(block.ok()) << block.status();
   QueryEngineOptions options;
-  options.label_cache_bytes = 4 * OneBlockBytes();
-  QueryEngine engine = QueryEngine::ForStore(c_, *store_, std::move(options));
+  options.label_cache_bytes = 2 * (*block)->ApproxBytes();
+  QueryEngine engine =
+      QueryEngine::ForMappedStore(c_, *mapped_v4_store_, std::move(options));
   // Probe far more distinct nodes than the budget holds; answers must
   // stay correct while the cache churns.
   std::vector<NodePair> pairs = RandomPairs(200, 31);

@@ -5,8 +5,8 @@
 // block boundary, and at hundreds of random offsets. The contract
 // under test is two-sided:
 //
-//   * The verified readers (LinLoutStore::ReadFromFile and the default
-//     MappedLinLoutStore::Open) must REJECT every damaged file with
+//   * The verified opens (MappedLinLoutStore::Open over mmap and over
+//     the buffered fallback) must REJECT every damaged file with
 //     Corruption or Unsupported — never crash, never serve garbage.
 //   * The lazy v4 open (verify_file_checksum = false) may accept a
 //     file whose blobs are damaged; it must then stay memory-safe
@@ -34,9 +34,8 @@ namespace {
 
 constexpr uint64_t kSeed = 20260808;
 
-/// A pristine store + its serialized image, in the requested version.
+/// A pristine file image in the requested version.
 struct Victim {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(0), false);
   std::vector<std::byte> image;
   size_t num_nodes = 0;
 };
@@ -48,16 +47,26 @@ Victim MakeVictim(uint32_t version, const std::string& path) {
   auto cover = twohop::BuildCover(g, cover_options);
   EXPECT_TRUE(cover.ok());
   Victim victim;
-  victim.store = LinLoutStore::FromCover(*cover, true);
   victim.num_nodes = cover->NumNodes();
   StoreWriteOptions options;
   options.format_version = version;
   // Small blocks: many per-block CRC domains and block boundaries.
   options.compress.target_block_bytes = 128;
   options.compress.cluster_split_bytes = 32;
-  EXPECT_TRUE(victim.store.WriteToFile(path, options).ok());
+  EXPECT_TRUE(WriteLinLoutFile(*cover, true, path, options).ok());
   victim.image = hopi::testing::ReadFileBytes(path);
   return victim;
+}
+
+/// "v3 cut at 17": the damage a check failed on. Built by appending —
+/// GCC 12 at -O3 flags `"v" + std::to_string(n)` with a false-positive
+/// -Wrestrict.
+std::string Describe(uint32_t version, const char* damage, uint64_t at) {
+  std::string what = "v";
+  what += std::to_string(version);
+  what += damage;
+  what += std::to_string(at);
+  return what;
 }
 
 void WriteBytes(const std::string& path, std::span<const std::byte> bytes) {
@@ -69,25 +78,22 @@ void WriteBytes(const std::string& path, std::span<const std::byte> bytes) {
   std::fclose(f);
 }
 
-/// Both verified readers must refuse the file at `path` with a
-/// structured error (Corruption, or Unsupported when the damage lands
-/// in the version field) — the one thing they may not do is succeed.
+/// Both verified opens (mmap and buffered) must refuse the file at
+/// `path` with a structured error (Corruption, or Unsupported when the
+/// damage lands in the version field) — the one thing they may not do
+/// is succeed.
 void ExpectVerifiedReadersReject(const std::string& path,
                                  const std::string& what) {
-  auto buffered = LinLoutStore::ReadFromFile(path);
-  EXPECT_FALSE(buffered.ok()) << what << ": buffered reader accepted";
-  if (!buffered.ok()) {
-    EXPECT_TRUE(buffered.status().IsCorruption() ||
-                buffered.status().IsUnsupported() ||
-                buffered.status().IsIOError())
-        << what << ": " << buffered.status();
-  }
-  auto mapped = MappedLinLoutStore::Open(path);
-  EXPECT_FALSE(mapped.ok()) << what << ": mapped reader accepted";
-  if (!mapped.ok()) {
-    EXPECT_TRUE(mapped.status().IsCorruption() ||
-                mapped.status().IsUnsupported() || mapped.status().IsIOError())
-        << what << ": " << mapped.status();
+  for (bool prefer_mmap : {true, false}) {
+    const char* mode = prefer_mmap ? "mapped" : "buffered";
+    auto store = MappedLinLoutStore::Open(path, {.prefer_mmap = prefer_mmap});
+    EXPECT_FALSE(store.ok()) << what << ": " << mode << " open accepted";
+    if (!store.ok()) {
+      EXPECT_TRUE(store.status().IsCorruption() ||
+                  store.status().IsUnsupported() ||
+                  store.status().IsIOError())
+          << what << " (" << mode << "): " << store.status();
+    }
   }
 }
 
@@ -126,8 +132,7 @@ TEST_F(FormatFuzzTest, RandomBitFlipsAreRejectedByVerifiedReaders) {
       mutant[offset] ^= mask;
       WriteBytes(path_, mutant);
       ExpectVerifiedReadersReject(
-          path_, "v" + std::to_string(version) + " flip at offset " +
-                     std::to_string(offset));
+          path_, Describe(version, " flip at offset ", offset));
     }
   }
 }
@@ -150,8 +155,7 @@ TEST_F(FormatFuzzTest, RandomTruncationsAreRejectedEverywhere) {
     for (uint64_t cut : cuts) {
       ASSERT_LT(cut, victim.image.size());
       WriteBytes(path_, std::span(victim.image).first(cut));
-      std::string what = "v" + std::to_string(version) + " cut at " +
-                         std::to_string(cut);
+      std::string what = Describe(version, " cut at ", cut);
       ExpectVerifiedReadersReject(path_, what);
       if (version == kFormatVersionV4) {
         // Truncation always removes trailer or metadata bytes — even

@@ -14,6 +14,7 @@
 #include "query/path_query.h"
 #include "query/tag_index.h"
 #include "storage/linlout.h"
+#include "storage/mapped_linlout.h"
 #include "test_util.h"
 #include "twohop/builder.h"
 #include "xml/parser.h"
@@ -55,22 +56,31 @@ TEST(IntegrationTest, PersistReloadQueryEquivalence) {
   auto index = BuildIndex(&c, options);
   ASSERT_TRUE(index.ok());
 
-  std::string path = ::testing::TempDir() + "hopi_integration.idx";
-  storage::LinLoutStore store =
-      storage::LinLoutStore::FromCover(index->cover(), true);
-  ASSERT_TRUE(store.WriteToFile(path).ok());
-  auto loaded = storage::LinLoutStore::ReadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  std::remove(path.c_str());
+  // Both on-disk versions, read back through the one reader.
+  for (uint32_t version :
+       {storage::kFormatVersion, storage::kFormatVersionV4}) {
+    std::string path = ::testing::TempDir() + "hopi_integration.idx";
+    ASSERT_TRUE(storage::WriteLinLoutFile(index->cover(), true, path,
+                                          {.format_version = version})
+                    .ok());
+    auto loaded = storage::MappedLinLoutStore::Open(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    auto cover = loaded->ToCover(c.NumElements());
+    ASSERT_TRUE(cover.ok()) << cover.status();
+    std::remove(path.c_str());
 
-  // Rebuild an index from storage and compare answers with the original.
-  HopiIndex reloaded(&c, loaded->ToCover(c.NumElements()), true);
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    EXPECT_EQ(reloaded.IsReachable(u, v), index->IsReachable(u, v));
-    EXPECT_EQ(reloaded.Distance(u, v), index->Distance(u, v));
+    // Rebuild an index from storage and compare answers with the
+    // original.
+    HopiIndex reloaded(&c, std::move(cover).value(), true);
+    Rng rng(1);
+    for (int i = 0; i < 1000; ++i) {
+      NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+      NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+      EXPECT_EQ(reloaded.IsReachable(u, v), index->IsReachable(u, v))
+          << "v" << version;
+      EXPECT_EQ(reloaded.Distance(u, v), index->Distance(u, v))
+          << "v" << version;
+    }
   }
 }
 

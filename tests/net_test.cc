@@ -151,7 +151,9 @@ TEST(HttpParserTest, TooManyHeadersIs431) {
   HttpParser parser({.max_headers = 4});
   std::string bytes = "GET / HTTP/1.1\r\n";
   for (int i = 0; i < 6; ++i) {
-    bytes += "h" + std::to_string(i) + ": v\r\n";
+    bytes += "h";
+    bytes += std::to_string(i);
+    bytes += ": v\r\n";
   }
   bytes += "\r\n";
   HttpRequest request;

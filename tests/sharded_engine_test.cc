@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -284,6 +285,33 @@ TEST(ComposeThreeLegsTest, MinPlusOverRoutesMatchesHandComputation) {
       true);
   EXPECT_FALSE(routeless);
   EXPECT_EQ(routeless_dist, std::nullopt);
+}
+
+TEST(ComposeThreeLegsTest, NearMaxLegsSaturateInsteadOfWrapping) {
+  // Each leg alone fits in uint32_t, but their sums do not: unchecked
+  // addition would wrap both sums around to 3 and report that as the
+  // distance.
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  std::vector<ShardRoute> routes = {{10, 20, kMax - 1}, {11, 21, 7}};
+  std::map<NodeId, std::optional<uint32_t>> source_legs = {{10, 3u},
+                                                           {11, kMax - 2}};
+  std::map<NodeId, std::optional<uint32_t>> target_legs = {{20, 2u},
+                                                           {21, kMax}};
+  LegLookup source_leg = [&](NodeId s) { return source_legs.at(s); };
+  LegLookup target_leg = [&](NodeId t) { return target_legs.at(t); };
+  auto [reachable, dist] = ComposeThreeLegs(routes, source_leg, target_leg,
+                                            /*want_distance=*/true);
+  EXPECT_TRUE(reachable);
+  EXPECT_EQ(dist, std::optional<uint32_t>(kMax));
+
+  // A route whose sum fits exactly still wins over a saturated one.
+  routes.push_back({12, 22, kMax - 10});
+  source_legs[12] = 4u;
+  target_legs[22] = 5u;
+  auto [fits, fit_dist] = ComposeThreeLegs(routes, source_leg, target_leg,
+                                           /*want_distance=*/true);
+  EXPECT_TRUE(fits);
+  EXPECT_EQ(fit_dist, std::optional<uint32_t>(kMax - 1));
 }
 
 // ---- the ShardClient fault-injection seam ----
@@ -627,6 +655,16 @@ TEST_F(ShardedFaultFixture, SubmitAfterShutdownIsFailedPrecondition) {
   EXPECT_TRUE(refused.IsFailedPrecondition()) << refused;
   // Idempotent: a second Shutdown (and the destructor's) is a no-op.
   engine->Shutdown();
+}
+
+TEST_F(ShardedFaultFixture, ImmediateShutdownNeverHangs) {
+  // Shutdown racing the watchdog and path threads' first wait: a
+  // shutdown flag set outside their mutexes could land between a
+  // loop's check and its wait, lose the wakeup and hang the join.
+  for (int i = 0; i < 3000; ++i) {
+    auto engine = MakeEngine(std::chrono::milliseconds(0));
+    engine->Shutdown();
+  }
 }
 
 TEST_F(ShardedFaultFixture, PathQueriesMatchTheSingleEngine) {

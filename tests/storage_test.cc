@@ -27,230 +27,174 @@ twohop::TwoHopCover SampleCover(bool with_distance, uint64_t seed = 5) {
   return std::move(cover).value();
 }
 
-TEST(LinLoutStoreTest, ConnectionTestMatchesCover) {
+/// Options for the writer: `version`, and tiny v4 blocks so even the
+/// test covers span several blocks per section.
+StoreWriteOptions SmallBlocks(uint32_t version) {
+  StoreWriteOptions options;
+  options.format_version = version;
+  options.compress.target_block_bytes = 256;
+  options.compress.cluster_split_bytes = 64;
+  return options;
+}
+
+/// Overwrites `size` bytes at `offset` of the file at `path`.
+void PatchFile(const std::string& path, long offset, const void* bytes,
+               size_t size) {
+  FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  ASSERT_EQ(std::fwrite(bytes, size, 1, f), 1u);
+  std::fclose(f);
+}
+
+// ---- the paper's query shapes, through every reader ----
+
+/// One way to read a LIN/LOUT file: the format version it was written
+/// in and the open mode (mmap, buffered, or lazy v4).
+struct ReaderMode {
+  const char* name;
+  uint32_t version;
+  MappedOpenOptions open;
+};
+
+const ReaderMode kReaderModes[] = {
+    {"v3_mmap", kFormatVersion, {}},
+    {"v3_buffered", kFormatVersion, {.prefer_mmap = false}},
+    {"v4_mmap", kFormatVersionV4, {}},
+    {"v4_buffered", kFormatVersionV4, {.prefer_mmap = false}},
+    {"v4_lazy", kFormatVersionV4, {.verify_file_checksum = false}},
+};
+
+class StoreReaderTest : public ::testing::TestWithParam<ReaderMode> {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Writes `cover` in the mode's version and opens it in its reader.
+  Result<MappedLinLoutStore> Store(const twohop::TwoHopCover& cover,
+                                   bool with_distance) {
+    HOPI_RETURN_NOT_OK(WriteLinLoutFile(cover, with_distance, path_,
+                                        SmallBlocks(GetParam().version)));
+    return MappedLinLoutStore::Open(path_, GetParam().open);
+  }
+
+  std::string path_ = ::testing::TempDir() + "hopi_store_reader_test.bin";
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Readers, StoreReaderTest, ::testing::ValuesIn(kReaderModes),
+    [](const ::testing::TestParamInfo<ReaderMode>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(StoreReaderTest, ConnectionTestMatchesCover) {
   twohop::TwoHopCover cover = SampleCover(false);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
+  auto store = Store(cover, false);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->format_version(), GetParam().version);
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
     for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(store.TestConnection(u, v), cover.IsConnected(u, v))
+      EXPECT_EQ(store->TestConnection(u, v), cover.IsConnected(u, v))
           << u << "->" << v;
     }
   }
 }
 
-TEST(LinLoutStoreTest, MinDistanceMatchesCover) {
+TEST_P(StoreReaderTest, MinDistanceMatchesCover) {
   twohop::TwoHopCover cover = SampleCover(true);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
+  auto store = Store(cover, true);
+  ASSERT_TRUE(store.ok()) << store.status();
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
     for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(store.MinDistance(u, v), cover.Distance(u, v))
+      EXPECT_EQ(store->MinDistance(u, v), cover.Distance(u, v))
           << u << "->" << v;
     }
   }
 }
 
-TEST(LinLoutStoreTest, DescendantsAncestorsMatchGraph) {
+TEST_P(StoreReaderTest, DescendantsAncestorsMatchGraph) {
   Digraph g = hopi::testing::RandomDag(35, 2.0, 9);
   auto cover = twohop::BuildCover(g);
   ASSERT_TRUE(cover.ok());
-  LinLoutStore store = LinLoutStore::FromCover(*cover, false);
+  auto store = Store(*cover, false);
+  ASSERT_TRUE(store.ok()) << store.status();
   twohop::IndexedCover indexed(*cover);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    EXPECT_EQ(store.Descendants(u), indexed.Descendants(u));
-    EXPECT_EQ(store.Ancestors(u), indexed.Ancestors(u));
+    EXPECT_EQ(store->Descendants(u), indexed.Descendants(u));
+    EXPECT_EQ(store->Ancestors(u), indexed.Ancestors(u));
   }
 }
 
-TEST(LinLoutStoreTest, EntryAccounting) {
+TEST_P(StoreReaderTest, EntryAccounting) {
   twohop::TwoHopCover cover = SampleCover(false);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  EXPECT_EQ(store.NumEntries(), cover.Size());
+  auto store = Store(cover, false);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->NumEntries(), cover.Size());
   // 2 ints per forward row, doubled by the backward index.
-  EXPECT_EQ(store.StorageIntegers(), cover.Size() * 4);
-  LinLoutStore dstore = LinLoutStore::FromCover(cover, true);
-  EXPECT_EQ(dstore.StorageIntegers(), cover.Size() * 6);
+  EXPECT_EQ(store->StorageIntegers(), cover.Size() * 4);
+  auto dstore = Store(cover, true);
+  ASSERT_TRUE(dstore.ok()) << dstore.status();
+  EXPECT_EQ(dstore->StorageIntegers(), cover.Size() * 6);
 }
 
-TEST(LinLoutStoreTest, ScansAreSortedAndComplete) {
-  twohop::TwoHopCover cover = SampleCover(false, 11);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    auto lin = store.ScanLin(u);
-    EXPECT_EQ(lin.size(), cover.In(u).size());
-    for (size_t i = 1; i < lin.size(); ++i) {
-      EXPECT_LT(lin[i - 1].center, lin[i].center);
-    }
-    auto lout = store.ScanLout(u);
-    EXPECT_EQ(lout.size(), cover.Out(u).size());
-  }
-}
-
-TEST(LinLoutStoreTest, LabelExportMatchesCover) {
+TEST_P(StoreReaderTest, DecodedRowsMatchCoverLabels) {
   twohop::TwoHopCover cover = SampleCover(true, 41);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  std::vector<twohop::LabelEntry> label;
+  auto store = Store(cover, true);
+  ASSERT_TRUE(store.ok()) << store.status();
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    store.LinLabel(u, &label);
-    EXPECT_EQ(label, cover.In(u));
-    store.LoutLabel(u, &label);
-    EXPECT_EQ(label, cover.Out(u));
+    auto lin = store->DecodeLinRow(u);
+    ASSERT_TRUE(lin.ok()) << lin.status();
+    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin->entries.begin(),
+                                              lin->entries.end()),
+              cover.In(u))
+        << "LIN " << u;
+    auto lout = store->DecodeLoutRow(u);
+    ASSERT_TRUE(lout.ok()) << lout.status();
+    EXPECT_EQ(std::vector<twohop::LabelEntry>(lout->entries.begin(),
+                                              lout->entries.end()),
+              cover.Out(u))
+        << "LOUT " << u;
   }
 }
 
-TEST(LinLoutStoreTest, RoundTripThroughCover) {
+TEST_P(StoreReaderTest, ToCoverRoundTripsExactly) {
   twohop::TwoHopCover cover = SampleCover(true, 13);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  twohop::TwoHopCover back = store.ToCover(cover.NumNodes());
-  EXPECT_EQ(back.Size(), cover.Size());
+  auto store = Store(cover, true);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto back = store->ToCover(cover.NumNodes());
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->Size(), cover.Size());
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    EXPECT_EQ(back.In(u).size(), cover.In(u).size());
-    EXPECT_EQ(back.Out(u).size(), cover.Out(u).size());
+    EXPECT_EQ(back->In(u), cover.In(u)) << u;
+    EXPECT_EQ(back->Out(u), cover.Out(u)) << u;
   }
+  // A cover too small for the stored rows is refused, not overrun.
+  EXPECT_TRUE(store->ToCover(1).status().IsInvalidArgument());
 }
 
-class LinLoutPersistenceTest : public ::testing::Test {
- protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "hopi_store_test.bin";
-};
-
-TEST_F(LinLoutPersistenceTest, WriteReadRoundTrip) {
-  twohop::TwoHopCover cover = SampleCover(true, 17);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), store.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(loaded->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(loaded->MinDistance(u, v), store.MinDistance(u, v));
-    }
-  }
-}
-
-TEST_F(LinLoutPersistenceTest, MissingFileIsIOError) {
-  auto loaded = LinLoutStore::ReadFromFile("/nonexistent/dir/f.bin");
-  EXPECT_TRUE(loaded.status().IsIOError());
-}
-
-TEST_F(LinLoutPersistenceTest, BadMagicIsCorruption) {
-  FILE* f = std::fopen(path_.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("NOTHOPI!xxxxxxxxxxxxxxxxxxxxxxxxxxx", f);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption());
-}
-
-TEST_F(LinLoutPersistenceTest, TruncatedHeaderDetected) {
-  FILE* f = std::fopen(path_.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("HOPI", f);  // magic only, no version/flags/counts
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(LinLoutPersistenceTest, StaleFormatVersionIsUnsupported) {
-  twohop::TwoHopCover cover = SampleCover(false, 23);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Patch the version field (bytes 4..8) to a future version.
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t future_version = 99;
-  std::fseek(f, 4, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&future_version, sizeof(future_version), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("99"), std::string::npos);
-}
-
-TEST_F(LinLoutPersistenceTest, OldV1LayoutReportsVersionError) {
-  // A v1 file started with the 8-byte magic "HOPILL01": the first four
-  // bytes match the current magic and the next four parse as a bogus
-  // version, so stale files fail clearly instead of being misread.
-  FILE* f = std::fopen(path_.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("HOPILL01", f);
-  uint64_t v1_header[3] = {0, 0, 0};
-  ASSERT_EQ(std::fwrite(v1_header, sizeof(v1_header), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status();
-}
-
-TEST_F(LinLoutPersistenceTest, UnknownHeaderFlagsAreCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 29);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Set a reserved flag bit (bytes 8..12 hold the flags).
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t bogus_flags = 1u << 7;
-  std::fseek(f, 8, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&bogus_flags, sizeof(bogus_flags), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(LinLoutPersistenceTest, BogusRowCountsAreCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 37);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Patch the LIN row count (bytes 12..20) to an absurd value: the
-  // reader must fail with Corruption, not attempt the allocation.
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint64_t bogus_count = UINT64_MAX / 2;
-  std::fseek(f, 12, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&bogus_count, sizeof(bogus_count), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(LinLoutPersistenceTest, DistanceFlagRoundTrips) {
+TEST_P(StoreReaderTest, DistanceFlagRoundTrips) {
   twohop::TwoHopCover cover = SampleCover(true, 31);
   for (bool with_distance : {false, true}) {
-    LinLoutStore store = LinLoutStore::FromCover(cover, with_distance);
-    ASSERT_TRUE(store.WriteToFile(path_).ok());
-    auto loaded = LinLoutStore::ReadFromFile(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->with_distance(), with_distance);
+    auto store = Store(cover, with_distance);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(store->with_distance(), with_distance);
   }
 }
 
-TEST_F(LinLoutPersistenceTest, TruncatedRowsDetected) {
-  twohop::TwoHopCover cover = SampleCover(false, 19);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Chop the file.
-  FILE* f = std::fopen(path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_TRUE(::truncate(path_.c_str(), size - 8) == 0);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption());
+TEST_P(StoreReaderTest, EmptyStoreAnswersNothing) {
+  auto store = Store(twohop::TwoHopCover(5), false);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->NumEntries(), 0u);
+  EXPECT_FALSE(store->TestConnection(0, 1));
+  EXPECT_TRUE(store->TestConnection(2, 2));  // reflexive
+  EXPECT_TRUE(store->Descendants(3).empty());
+  EXPECT_TRUE(store->Ancestors(3).empty());
+  EXPECT_EQ(store->MinDistance(4, 4), std::optional<uint32_t>(0));
+  auto row = store->DecodeLinRow(0);
+  ASSERT_TRUE(row.ok());
+  EXPECT_TRUE(row->entries.empty());
 }
 
-TEST(LinLoutStoreTest, EmptyStoreAnswersNothing) {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  EXPECT_EQ(store.NumEntries(), 0u);
-  EXPECT_FALSE(store.TestConnection(0, 1));
-  EXPECT_TRUE(store.TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(store.Descendants(3).empty());
-  EXPECT_TRUE(store.Ancestors(3).empty());
-  EXPECT_EQ(store.MinDistance(4, 4), std::optional<uint32_t>(0));
-}
-
-TEST(LinLoutStoreTest, PlainStoreDistancesAreZero) {
+TEST_P(StoreReaderTest, PlainStoreDistancesAreZero) {
   // A plain store (no DIST column) still answers MinDistance: connected
   // pairs report 0 — the paper's plain index simply cannot rank.
   Digraph g(3);
@@ -258,10 +202,144 @@ TEST(LinLoutStoreTest, PlainStoreDistancesAreZero) {
   g.AddEdge(1, 2);
   auto cover = twohop::BuildCover(g);
   ASSERT_TRUE(cover.ok());
-  LinLoutStore store = LinLoutStore::FromCover(*cover, false);
-  auto d = store.MinDistance(0, 2);
+  auto store = Store(*cover, false);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto d = store->MinDistance(0, 2);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, 0u);
+}
+
+TEST_P(StoreReaderTest, EndToEndWithBuiltIndex) {
+  collection::Collection c = hopi::testing::SmallDblp(30, 21);
+  auto index = BuildIndex(&c);
+  ASSERT_TRUE(index.ok());
+  auto store = Store(index->cover(), false);
+  ASSERT_TRUE(store.ok()) << store.status();
+  Rng rng(3);
+  for (int i = 0; i < 500; ++i) {
+    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+    EXPECT_EQ(store->TestConnection(u, v), index->IsReachable(u, v));
+  }
+}
+
+// ---- the error taxonomy, for the mmap and buffered opens ----
+
+class StoreErrorTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Opens path_ both ways; `check` must hold for each status.
+  template <typename Check>
+  void ExpectBothOpens(Check check) {
+    for (bool prefer_mmap : {true, false}) {
+      auto store = MappedLinLoutStore::Open(path_, {.prefer_mmap = prefer_mmap});
+      EXPECT_TRUE(check(store.status()))
+          << (prefer_mmap ? "mmap: " : "buffered: ") << store.status();
+    }
+  }
+
+  void WriteRaw(const std::string& bytes) {
+    FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+
+  std::string path_ = ::testing::TempDir() + "hopi_store_error_test.bin";
+};
+
+TEST_F(StoreErrorTest, MissingFileIsIOError) {
+  path_ = "/nonexistent/dir/f.bin";
+  ExpectBothOpens([](const Status& s) { return s.IsIOError(); });
+}
+
+TEST_F(StoreErrorTest, BadMagicIsCorruption) {
+  WriteRaw("NOTHOPI!xxxxxxxxxxxxxxxxxxxxxxxxxxx");
+  ExpectBothOpens([](const Status& s) { return s.IsCorruption(); });
+}
+
+TEST_F(StoreErrorTest, TruncatedHeaderDetected) {
+  WriteRaw("HOPI");  // magic only, no version/flags/sections
+  ExpectBothOpens([](const Status& s) { return s.IsCorruption(); });
+}
+
+TEST_F(StoreErrorTest, StaleFormatVersionIsUnsupported) {
+  ASSERT_TRUE(WriteLinLoutFile(SampleCover(false, 23), false, path_).ok());
+  // Patch the version field (bytes 4..8) to a future version.
+  uint32_t future_version = 99;
+  PatchFile(path_, 4, &future_version, sizeof(future_version));
+  ExpectBothOpens([](const Status& s) {
+    return s.IsUnsupported() && s.message().find("99") != std::string::npos;
+  });
+}
+
+TEST_F(StoreErrorTest, V2FileIsUnsupported) {
+  // The v2 layout (header + row counts + bare row triplets) is no
+  // longer read: it fails like any other version this build does not
+  // know, with a message that says how to get a readable file.
+  std::string v2(kMagic, sizeof(kMagic));
+  uint32_t header[2] = {2, kFlagDistance};
+  uint64_t counts[2] = {1, 0};
+  uint32_t row[3] = {1, 2, 1};
+  v2.append(reinterpret_cast<const char*>(header), sizeof(header));
+  v2.append(reinterpret_cast<const char*>(counts), sizeof(counts));
+  v2.append(reinterpret_cast<const char*>(row), sizeof(row));
+  WriteRaw(v2);
+  ExpectBothOpens([](const Status& s) {
+    return s.IsUnsupported() &&
+           s.message().find("version 2") != std::string::npos &&
+           s.message().find("WriteLinLoutFile") != std::string::npos;
+  });
+}
+
+TEST_F(StoreErrorTest, OldV1LayoutReportsVersionError) {
+  // A v1 file started with the 8-byte magic "HOPILL01": the first four
+  // bytes match the current magic and the next four parse as a bogus
+  // version, so stale files fail clearly instead of being misread.
+  WriteRaw(std::string("HOPILL01") + std::string(24, '\0'));
+  ExpectBothOpens([](const Status& s) { return s.IsUnsupported(); });
+}
+
+TEST_F(StoreErrorTest, UnknownHeaderFlagsAreCorruption) {
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    ASSERT_TRUE(WriteLinLoutFile(SampleCover(false, 29), false, path_,
+                                 {.format_version = version})
+                    .ok());
+    // Set a reserved flag bit (bytes 8..12 hold the flags).
+    uint32_t bogus_flags = 1u << 7;
+    PatchFile(path_, 8, &bogus_flags, sizeof(bogus_flags));
+    ExpectBothOpens([](const Status& s) { return s.IsCorruption(); });
+  }
+}
+
+TEST_F(StoreErrorTest, BogusSectionLengthIsCorruption) {
+  ASSERT_TRUE(WriteLinLoutFile(SampleCover(false, 37), false, path_,
+                               {.format_version = kFormatVersion})
+                  .ok());
+  // Patch the first section's length (bytes 24..32) to an absurd value:
+  // the readers must fail with Corruption, not trust the size.
+  uint64_t bogus_length = UINT64_MAX / 2;
+  PatchFile(path_, 24, &bogus_length, sizeof(bogus_length));
+  ExpectBothOpens([](const Status& s) { return s.IsCorruption(); });
+}
+
+TEST_F(StoreErrorTest, TruncatedRowsDetected) {
+  ASSERT_TRUE(WriteLinLoutFile(SampleCover(false, 19), false, path_).ok());
+  long size = static_cast<long>(hopi::testing::ReadFileBytes(path_).size());
+  ASSERT_TRUE(::truncate(path_.c_str(), size - 8) == 0);
+  ExpectBothOpens([](const Status& s) { return s.IsCorruption(); });
+}
+
+TEST_F(StoreErrorTest, WriterRejectsUnknownVersions) {
+  for (uint32_t version : {2u, 5u}) {
+    Status s = WriteLinLoutFile(SampleCover(false), false, path_,
+                                {.format_version = version});
+    EXPECT_TRUE(s.IsInvalidArgument()) << s;
+  }
+  FILE* f = std::fopen(path_.c_str(), "rb");
+  EXPECT_EQ(f, nullptr);  // nothing written
+  if (f != nullptr) std::fclose(f);
 }
 
 // ---- crash safety and the v3 on-disk format ----
@@ -273,12 +351,13 @@ class StorageFormatTest : public ::testing::Test {
     std::remove((path_ + ".tmp").c_str());
   }
 
-  /// Fresh store written to path_; returns the in-memory original.
-  LinLoutStore WriteSample(bool with_distance, uint64_t seed) {
+  /// Fresh v3 file at path_; returns the cover it stores.
+  twohop::TwoHopCover WriteSample(bool with_distance, uint64_t seed) {
     twohop::TwoHopCover cover = SampleCover(with_distance, seed);
-    LinLoutStore store = LinLoutStore::FromCover(cover, with_distance);
-    EXPECT_TRUE(store.WriteToFile(path_).ok());
-    return store;
+    EXPECT_TRUE(WriteLinLoutFile(cover, with_distance, path_,
+                                 {.format_version = kFormatVersion})
+                    .ok());
+    return cover;
   }
 
   std::string path_ = ::testing::TempDir() + "hopi_format_test.bin";
@@ -293,17 +372,16 @@ TEST_F(StorageFormatTest, AtomicWriterLeavesNoTempFile) {
 
 TEST_F(StorageFormatTest, RewriteReplacesExistingFileAtomically) {
   WriteSample(false, 43);
-  LinLoutStore second = WriteSample(true, 47);  // overwrite in place
-  auto loaded = LinLoutStore::ReadFromFile(path_);
+  twohop::TwoHopCover second = WriteSample(true, 47);  // overwrite in place
+  auto loaded = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->with_distance());
-  EXPECT_EQ(loaded->NumEntries(), second.NumEntries());
+  EXPECT_EQ(loaded->NumEntries(), second.Size());
 }
 
 TEST_F(StorageFormatTest, FailedWriteReportsIOErrorAndWritesNothing) {
-  twohop::TwoHopCover cover = SampleCover(false, 43);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  Status s = store.WriteToFile("/nonexistent/dir/f.bin");
+  Status s = WriteLinLoutFile(SampleCover(false, 43), false,
+                              "/nonexistent/dir/f.bin");
   EXPECT_TRUE(s.IsIOError()) << s;
 }
 
@@ -328,20 +406,14 @@ TEST_F(StorageFormatTest, TruncationAtEverySectionBoundaryIsCorruption) {
   ASSERT_TRUE(info.ok()) << info.status();
   // Every boundary of the file: header end, each section's begin and
   // end, and mid-trailer. A torn write stopping at any of them must
-  // read as Corruption from both readers — never a crash or garbage.
+  // read as Corruption from both open modes — never a crash or garbage.
   std::vector<uint64_t> boundaries = {0, 4, kHeaderBytes,
                                       info->file_bytes - 4};
   for (const SectionRange& s : info->sections) {
     boundaries.push_back(s.offset);
     boundaries.push_back(s.offset + s.length);
   }
-  std::vector<std::byte> image(info->file_bytes);
-  {
-    FILE* f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fread(image.data(), 1, image.size(), f), image.size());
-    std::fclose(f);
-  }
+  std::vector<std::byte> image = hopi::testing::ReadFileBytes(path_);
   for (uint64_t cut : boundaries) {
     ASSERT_LT(cut, info->file_bytes);
     FILE* f = std::fopen(path_.c_str(), "wb");
@@ -350,7 +422,7 @@ TEST_F(StorageFormatTest, TruncationAtEverySectionBoundaryIsCorruption) {
       ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
     }
     std::fclose(f);
-    auto buffered = LinLoutStore::ReadFromFile(path_);
+    auto buffered = MappedLinLoutStore::Open(path_, {.prefer_mmap = false});
     EXPECT_TRUE(buffered.status().IsCorruption())
         << "buffered, cut at " << cut << ": " << buffered.status();
     auto mapped = MappedLinLoutStore::Open(path_);
@@ -366,15 +438,11 @@ TEST_F(StorageFormatTest, BitFlipAnywhereIsCorruption) {
   // Flip one bit in the middle of the row data: only the trailing
   // checksum can catch this (the sections still parse).
   uint64_t victim = info->sections[kLinRows].offset + 5;
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, static_cast<long>(victim), SEEK_SET);
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  std::fseek(f, static_cast<long>(victim), SEEK_SET);
-  std::fputc(c ^ 0x10, f);
-  std::fclose(f);
-  auto buffered = LinLoutStore::ReadFromFile(path_);
+  std::vector<std::byte> image = hopi::testing::ReadFileBytes(path_);
+  unsigned char flipped =
+      static_cast<unsigned char>(image[victim]) ^ 0x10;
+  PatchFile(path_, static_cast<long>(victim), &flipped, 1);
+  auto buffered = MappedLinLoutStore::Open(path_, {.prefer_mmap = false});
   EXPECT_TRUE(buffered.status().IsCorruption()) << buffered.status();
   auto mapped = MappedLinLoutStore::Open(path_);
   EXPECT_TRUE(mapped.status().IsCorruption()) << mapped.status();
@@ -384,43 +452,37 @@ TEST_F(StorageFormatTest, BitFlipAnywhereIsCorruption) {
 
 class MappedStoreTest : public StorageFormatTest {};
 
-TEST_F(MappedStoreTest, MappedAndBufferedReadersAgreeEverywhere) {
-  LinLoutStore original = WriteSample(true, 59);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
+TEST_F(MappedStoreTest, MappedReaderAnswersLikeTheCover) {
+  twohop::TwoHopCover cover = WriteSample(true, 59);
   auto mapped = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   EXPECT_TRUE(mapped->mapped());  // POSIX CI: the real mmap path
-  EXPECT_EQ(mapped->NumEntries(), original.NumEntries());
-  EXPECT_EQ(mapped->StorageIntegers(), original.StorageIntegers());
+  EXPECT_EQ(mapped->NumEntries(), cover.Size());
   EXPECT_TRUE(mapped->with_distance());
-  twohop::TwoHopCover cover = SampleCover(true, 59);
+  twohop::IndexedCover indexed(cover);
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
     for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(mapped->TestConnection(u, v), loaded->TestConnection(u, v))
+      EXPECT_EQ(mapped->TestConnection(u, v), cover.IsConnected(u, v))
           << u << "->" << v;
-      EXPECT_EQ(mapped->MinDistance(u, v), loaded->MinDistance(u, v))
+      EXPECT_EQ(mapped->MinDistance(u, v), cover.Distance(u, v))
           << u << "->" << v;
     }
-    EXPECT_EQ(mapped->Descendants(u), loaded->Descendants(u)) << u;
-    EXPECT_EQ(mapped->Ancestors(u), loaded->Ancestors(u)) << u;
+    EXPECT_EQ(mapped->Descendants(u), indexed.Descendants(u)) << u;
+    EXPECT_EQ(mapped->Ancestors(u), indexed.Ancestors(u)) << u;
   }
 }
 
-TEST_F(MappedStoreTest, SpansMatchMaterializedLabels) {
-  LinLoutStore original = WriteSample(true, 61);
+TEST_F(MappedStoreTest, SpansMatchCoverLabels) {
+  twohop::TwoHopCover cover = WriteSample(true, 61);
   auto mapped = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  twohop::TwoHopCover cover = SampleCover(true, 61);
-  std::vector<twohop::LabelEntry> label;
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    original.LinLabel(u, &label);
     auto lin = mapped->LinSpan(u);
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin.begin(), lin.end()), label);
-    original.LoutLabel(u, &label);
+    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin.begin(), lin.end()),
+              cover.In(u));
     auto lout = mapped->LoutSpan(u);
     EXPECT_EQ(std::vector<twohop::LabelEntry>(lout.begin(), lout.end()),
-              label);
+              cover.Out(u));
   }
   EXPECT_TRUE(mapped->LinSpan(1u << 30).empty());  // out-of-range node
 }
@@ -440,124 +502,6 @@ TEST_F(MappedStoreTest, BufferedFallbackAnswersIdentically) {
     }
     EXPECT_EQ(fallback->Descendants(u), mapped->Descendants(u));
   }
-}
-
-TEST_F(MappedStoreTest, MissingFileIsIOError) {
-  auto mapped = MappedLinLoutStore::Open("/nonexistent/dir/f.bin");
-  EXPECT_TRUE(mapped.status().IsIOError()) << mapped.status();
-}
-
-TEST_F(MappedStoreTest, EmptyStoreRoundTrips) {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_EQ(mapped->NumEntries(), 0u);
-  EXPECT_FALSE(mapped->TestConnection(0, 1));
-  EXPECT_TRUE(mapped->TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(mapped->Descendants(3).empty());
-}
-
-// ---- v2 migration path ----
-
-namespace v2 {
-
-/// Serializes `store` in the legacy v2 layout (header + bare row
-/// triplets, no section table, no checksum) so the migration tests can
-/// exercise files written by the previous format revision.
-void WriteLegacyFile(const LinLoutStore& store, size_t num_nodes,
-                     const std::string& path) {
-  std::vector<TableRow> lin, lout;
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    for (const TableRow& r : store.ScanLin(u)) lin.push_back(r);
-    for (const TableRow& r : store.ScanLout(u)) lout.push_back(r);
-  }
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  uint32_t version = kLegacyFormatVersion;
-  uint32_t flags = store.with_distance() ? kFlagDistance : 0;
-  uint64_t counts[2] = {lin.size(), lout.size()};
-  ASSERT_EQ(std::fwrite(kMagic, sizeof(kMagic), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&flags, sizeof(flags), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(counts, sizeof(counts), 1, f), 1u);
-  for (const std::vector<TableRow>* run : {&lin, &lout}) {
-    for (const TableRow& r : *run) {
-      uint32_t buf[3] = {r.id, r.center, r.dist};
-      ASSERT_EQ(std::fwrite(buf, sizeof(buf), 1, f), 1u);
-    }
-  }
-  std::fclose(f);
-}
-
-}  // namespace v2
-
-TEST_F(StorageFormatTest, LegacyV2FileReadsAndMigratesToV3) {
-  twohop::TwoHopCover cover = SampleCover(true, 71);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  auto info = InspectFile(path_);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, kLegacyFormatVersion);
-  // The buffered reader accepts v2...
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), store.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  // ...the mapped reader refuses it with a pointer to the migration...
-  auto mapped = MappedLinLoutStore::Open(path_);
-  EXPECT_TRUE(mapped.status().IsUnsupported()) << mapped.status();
-  EXPECT_NE(mapped.status().message().find("migrate"), std::string::npos);
-  // ...and writing the loaded store back produces a v3 file that the
-  // mapped reader serves with identical answers.
-  ASSERT_TRUE(loaded->WriteToFile(path_).ok());
-  auto migrated_info = InspectFile(path_);
-  ASSERT_TRUE(migrated_info.ok());
-  EXPECT_EQ(migrated_info->version, kFormatVersion);
-  auto migrated = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(migrated.ok()) << migrated.status();
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(migrated->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(migrated->MinDistance(u, v), store.MinDistance(u, v));
-    }
-  }
-}
-
-TEST_F(StorageFormatTest, DuplicateRowsInLegacyV2FileAreCorruption) {
-  // A v2 file with duplicate (id, center) rows must be rejected at
-  // read time: if it loaded, writing it back would produce a v3 file
-  // that the strict directory validation refuses — a migration that
-  // manufactures Corruption out of a "readable" file.
-  FILE* f = std::fopen(path_.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  uint32_t version = kLegacyFormatVersion;
-  uint32_t flags = 0;
-  uint64_t counts[2] = {2, 0};
-  ASSERT_EQ(std::fwrite(kMagic, sizeof(kMagic), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&flags, sizeof(flags), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(counts, sizeof(counts), 1, f), 1u);
-  uint32_t row[3] = {1, 2, 0};
-  ASSERT_EQ(std::fwrite(row, sizeof(row), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(row, sizeof(row), 1, f), 1u);  // exact duplicate
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(StorageFormatTest, TruncatedLegacyV2FileIsCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 73);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  FILE* f = std::fopen(path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(::truncate(path_.c_str(), size - 8), 0);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
 }
 
 // ---- the v4 block codec ----
@@ -764,21 +708,19 @@ TEST(CompressCodecTest, CorruptedBlockBytesAreCorruptionNeverACrash) {
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
 }
 
+
 // ---- the v4 on-disk format ----
 
 class StorageFormatV4Test : public StorageFormatTest {
  protected:
-  /// Fresh v4 store at path_ (tiny blocks so even the test cover spans
-  /// several); returns the in-memory original.
-  LinLoutStore WriteSampleV4(bool with_distance, uint64_t seed) {
+  /// Fresh v4 file at path_ (tiny blocks so even the test cover spans
+  /// several); returns the cover it stores.
+  twohop::TwoHopCover WriteSampleV4(bool with_distance, uint64_t seed) {
     twohop::TwoHopCover cover = SampleCover(with_distance, seed);
-    LinLoutStore store = LinLoutStore::FromCover(cover, with_distance);
-    StoreWriteOptions options;
-    options.format_version = kFormatVersionV4;
-    options.compress.target_block_bytes = 256;
-    options.compress.cluster_split_bytes = 64;
-    EXPECT_TRUE(store.WriteToFile(path_, options).ok());
-    return store;
+    EXPECT_TRUE(WriteLinLoutFile(cover, with_distance, path_,
+                                 SmallBlocks(kFormatVersionV4))
+                    .ok());
+    return cover;
   }
 };
 
@@ -799,57 +741,22 @@ TEST_F(StorageFormatV4Test, InspectReportsV4AndItsTwelveSections) {
 }
 
 TEST_F(StorageFormatV4Test, WriterIsDeterministic) {
-  LinLoutStore store = WriteSampleV4(true, 47);
+  twohop::TwoHopCover cover = WriteSampleV4(true, 47);
   std::vector<std::byte> first = hopi::testing::ReadFileBytes(path_);
-  StoreWriteOptions options;
-  options.format_version = kFormatVersionV4;
-  options.compress.target_block_bytes = 256;
-  options.compress.cluster_split_bytes = 64;
-  ASSERT_TRUE(store.WriteToFile(path_, options).ok());
+  ASSERT_TRUE(
+      WriteLinLoutFile(cover, true, path_, SmallBlocks(kFormatVersionV4))
+          .ok());
   EXPECT_EQ(hopi::testing::ReadFileBytes(path_), first);
 }
 
-TEST_F(StorageFormatV4Test, BufferedReaderRoundTripsV4) {
-  LinLoutStore original = WriteSampleV4(true, 59);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), original.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  twohop::TwoHopCover cover = SampleCover(true, 59);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(loaded->TestConnection(u, v), original.TestConnection(u, v));
-      EXPECT_EQ(loaded->MinDistance(u, v), original.MinDistance(u, v));
-    }
-  }
-}
-
 TEST_F(StorageFormatV4Test, MappedV4DecodesBitIdenticalLabels) {
-  LinLoutStore original = WriteSampleV4(true, 61);
+  twohop::TwoHopCover cover = WriteSampleV4(true, 61);
   auto mapped = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   EXPECT_TRUE(mapped->compressed());
   EXPECT_EQ(mapped->format_version(), kFormatVersionV4);
-  EXPECT_EQ(mapped->NumEntries(), original.NumEntries());
+  EXPECT_EQ(mapped->NumEntries(), cover.Size());
   ASSERT_TRUE(mapped->VerifyBlocks().ok());
-  twohop::TwoHopCover cover = SampleCover(true, 61);
-  std::vector<twohop::LabelEntry> label;
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    original.LinLabel(u, &label);
-    auto lin = mapped->DecodeLinRow(u);
-    ASSERT_TRUE(lin.ok()) << lin.status();
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin->entries.begin(),
-                                              lin->entries.end()),
-              label)
-        << "LIN " << u;
-    original.LoutLabel(u, &label);
-    auto lout = mapped->DecodeLoutRow(u);
-    ASSERT_TRUE(lout.ok()) << lout.status();
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lout->entries.begin(),
-                                              lout->entries.end()),
-              label)
-        << "LOUT " << u;
-  }
   // Raw spans are a v3 affordance; a compressed store has none.
   EXPECT_TRUE(mapped->LinSpan(0).empty());
   // Out-of-range nodes decode to an engaged empty row.
@@ -859,19 +766,25 @@ TEST_F(StorageFormatV4Test, MappedV4DecodesBitIdenticalLabels) {
 }
 
 TEST_F(StorageFormatV4Test, MappedV4AnswersEveryQueryLikeV3) {
-  LinLoutStore original = WriteSampleV4(true, 67);
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  twohop::TwoHopCover cover = SampleCover(true, 67);
+  twohop::TwoHopCover cover = WriteSampleV4(true, 67);
+  auto v4 = MappedLinLoutStore::Open(path_);
+  ASSERT_TRUE(v4.ok()) << v4.status();
+  std::string v3_path = path_ + ".v3";
+  ASSERT_TRUE(WriteLinLoutFile(cover, true, v3_path,
+                               {.format_version = kFormatVersion})
+                  .ok());
+  auto v3 = MappedLinLoutStore::Open(v3_path);
+  std::remove(v3_path.c_str());  // the mapping outlives the name
+  ASSERT_TRUE(v3.ok()) << v3.status();
   for (NodeId u = 0; u < cover.NumNodes(); ++u) {
     for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(mapped->TestConnection(u, v), original.TestConnection(u, v))
+      EXPECT_EQ(v4->TestConnection(u, v), v3->TestConnection(u, v))
           << u << "->" << v;
-      EXPECT_EQ(mapped->MinDistance(u, v), original.MinDistance(u, v))
+      EXPECT_EQ(v4->MinDistance(u, v), v3->MinDistance(u, v))
           << u << "->" << v;
     }
-    EXPECT_EQ(mapped->Descendants(u), original.Descendants(u)) << u;
-    EXPECT_EQ(mapped->Ancestors(u), original.Ancestors(u)) << u;
+    EXPECT_EQ(v4->Descendants(u), v3->Descendants(u)) << u;
+    EXPECT_EQ(v4->Ancestors(u), v3->Ancestors(u)) << u;
   }
 }
 
@@ -884,19 +797,20 @@ TEST_F(StorageFormatV4Test, CompressionBeatsRawOnRedundantCovers) {
   cover_options.with_distance = true;
   auto cover = twohop::BuildCover(g, cover_options);
   ASSERT_TRUE(cover.ok());
-  LinLoutStore store = LinLoutStore::FromCover(*cover, true);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());  // v3
+  ASSERT_TRUE(WriteLinLoutFile(*cover, true, path_,
+                               {.format_version = kFormatVersion})
+                  .ok());
   uint64_t v3_bytes = hopi::testing::ReadFileBytes(path_).size();
-  StoreWriteOptions v4;
-  v4.format_version = kFormatVersionV4;
-  ASSERT_TRUE(store.WriteToFile(path_, v4).ok());
+  ASSERT_TRUE(WriteLinLoutFile(*cover, true, path_,
+                               {.format_version = kFormatVersionV4})
+                  .ok());
   uint64_t v4_bytes = hopi::testing::ReadFileBytes(path_).size();
   EXPECT_LE(v4_bytes * 2, v3_bytes)
       << "v3 " << v3_bytes << "B vs v4 " << v4_bytes << "B for "
-      << store.NumEntries() << " entries";
+      << cover->Size() << " entries";
   auto mapped = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_EQ(mapped->NumEntries(), store.NumEntries());
+  EXPECT_EQ(mapped->NumEntries(), cover->Size());
 }
 
 TEST_F(StorageFormatV4Test, TruncationAtEveryV4BoundaryIsCorruption) {
@@ -918,7 +832,7 @@ TEST_F(StorageFormatV4Test, TruncationAtEveryV4BoundaryIsCorruption) {
       ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
     }
     std::fclose(f);
-    auto buffered = LinLoutStore::ReadFromFile(path_);
+    auto buffered = MappedLinLoutStore::Open(path_, {.prefer_mmap = false});
     EXPECT_TRUE(buffered.status().IsCorruption())
         << "buffered, cut at " << cut << ": " << buffered.status();
     auto mapped = MappedLinLoutStore::Open(path_);
@@ -974,55 +888,6 @@ TEST_F(StorageFormatV4Test, LazyOpenDefersBlobChecksToDecodeTime) {
   std::fclose(w);
   auto lazy2 = MappedLinLoutStore::Open(path_, {.verify_file_checksum = false});
   EXPECT_TRUE(lazy2.status().IsCorruption()) << lazy2.status();
-}
-
-TEST_F(StorageFormatV4Test, EmptyStoreRoundTripsAsV4) {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  StoreWriteOptions options;
-  options.format_version = kFormatVersionV4;
-  ASSERT_TRUE(store.WriteToFile(path_, options).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_TRUE(mapped->compressed());
-  EXPECT_EQ(mapped->NumEntries(), 0u);
-  EXPECT_FALSE(mapped->TestConnection(0, 1));
-  EXPECT_TRUE(mapped->TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(mapped->Descendants(3).empty());
-  auto row = mapped->DecodeLinRow(0);
-  ASSERT_TRUE(row.ok());
-  EXPECT_TRUE(row->entries.empty());
-}
-
-TEST_F(StorageFormatV4Test, LegacyV2FileMigratesStraightToV4) {
-  twohop::TwoHopCover cover = SampleCover(true, 71);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  StoreWriteOptions options;
-  options.format_version = kFormatVersionV4;
-  ASSERT_TRUE(loaded->WriteToFile(path_, options).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(mapped->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(mapped->MinDistance(u, v), store.MinDistance(u, v));
-    }
-  }
-}
-
-TEST(LinLoutStoreTest, EndToEndWithBuiltIndex) {
-  collection::Collection c = hopi::testing::SmallDblp(30, 21);
-  auto index = BuildIndex(&c);
-  ASSERT_TRUE(index.ok());
-  LinLoutStore store = LinLoutStore::FromCover(index->cover(), false);
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    EXPECT_EQ(store.TestConnection(u, v), index->IsReachable(u, v));
-  }
 }
 
 }  // namespace
