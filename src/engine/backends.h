@@ -1,15 +1,14 @@
 // The concrete ReachabilityBackend adapters (paper Sec 5.1's access
 // paths):
 //
-//   HopiIndexBackend      in-memory 2-hop cover labels
-//                         (engine/hopi_backend.h),
+//   HopiIndexBackend      in-memory 2-hop cover labels,
 //   MappedLinLoutBackend  the LIN/LOUT index-organized tables, read
 //                         off the file (storage/mapped_linlout.h),
 //   ClosureBackend        the materialized transitive closure baseline
 //                         (hopi/baseline.h).
 //
 // All adapters are non-owning views: the wrapped index must outlive the
-// adapter. They are header-only so thin shims can construct them
+// adapter. They are header-only, so tests and tools can construct them
 // without linking the engine library.
 //
 // Thread sharing: every adapter is stateless beyond its wrapped
@@ -25,11 +24,52 @@
 #include <vector>
 
 #include "engine/backend.h"
-#include "engine/hopi_backend.h"
 #include "hopi/baseline.h"
+#include "hopi/index.h"
 #include "storage/mapped_linlout.h"
 
 namespace hopi::engine {
+
+/// Adapter over the in-memory HopiIndex (2-hop cover labels). Labels
+/// are borrowed straight from the cover — no copies, no cache needed.
+/// Safe to share across serving threads only while no maintenance
+/// operation mutates the index; for live maintenance, serve a
+/// BackendSnapshot::Freeze copy instead (see engine/snapshot.h).
+class HopiIndexBackend final : public ReachabilityBackend {
+ public:
+  explicit HopiIndexBackend(const HopiIndex& index) : index_(&index) {}
+
+  std::string_view Name() const override { return "hopi"; }
+  bool with_distance() const override { return index_->with_distance(); }
+
+  bool IsReachable(NodeId u, NodeId v) const override {
+    return index_->IsReachable(u, v);
+  }
+  std::optional<uint32_t> Distance(NodeId u, NodeId v) const override {
+    return index_->Distance(u, v);
+  }
+  std::vector<NodeId> Descendants(NodeId u) const override {
+    return index_->Descendants(u);
+  }
+  std::vector<NodeId> Ancestors(NodeId u) const override {
+    return index_->Ancestors(u);
+  }
+
+  bool HasLabels() const override { return true; }
+  // The cover keeps packed SoA mirrors with real summaries — the
+  // kernels get those directly.
+  std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
+    const twohop::TwoHopCover& cover = index_->cover();
+    return u < cover.NumNodes() ? cover.OutJoin(u) : twohop::JoinView{};
+  }
+  std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
+    const twohop::TwoHopCover& cover = index_->cover();
+    return v < cover.NumNodes() ? cover.InJoin(v) : twohop::JoinView{};
+  }
+
+ private:
+  const HopiIndex* index_;
+};
 
 /// Adapter over the LIN/LOUT file reader. For raw (v3) stores, labels
 /// are lent to the engine as strided kernel views over the file image

@@ -189,15 +189,34 @@ BatchResponse QueryEngine::Batch(const BatchRequest& request) const {
   return response;
 }
 
+class QueryEngine::PathLabels final : public query::LabelSource {
+ public:
+  explicit PathLabels(const QueryEngine& engine) : engine_(&engine) {}
+
+  PinnedJoin Fetch(bool out, NodeId node, Status* error) const override {
+    return engine_->FetchJoinLabel(
+        out ? LabelCache::Side::kOut : LabelCache::Side::kIn, node, &stats_,
+        error);
+  }
+
+ private:
+  const QueryEngine* engine_;
+  mutable BatchStats stats_;  // route counts; path responses carry none
+};
+
 Result<PathQueryResponse> QueryEngine::Query(
     const PathQueryRequest& request) const {
   HOPI_ASSIGN_OR_RETURN(query::PathExpression expr,
                         query::PathExpression::Parse(request.expression));
+  PathLabels labels(*this);
+  query::SemiJoinContext context;
+  context.labels = backend_->HasLabels() ? &labels : nullptr;
+  context.scratch = &semi_join_scratch_;
   PathQueryResponse response;
   if (request.count_only) {
-    HOPI_ASSIGN_OR_RETURN(
-        response.count,
-        query::CountPathResults(expr, *backend_, *collection_, *tags_));
+    HOPI_ASSIGN_OR_RETURN(response.count,
+                          query::CountPathResults(expr, *backend_, *collection_,
+                                                  *tags_, context));
     return response;
   }
   query::PathQueryOptions options;
@@ -207,7 +226,8 @@ Result<PathQueryResponse> QueryEngine::Query(
   if (similarity_) options.similarity = &*similarity_;
   HOPI_ASSIGN_OR_RETURN(
       response.matches,
-      query::EvaluatePath(expr, *backend_, *collection_, *tags_, options));
+      query::EvaluatePath(expr, *backend_, *collection_, *tags_, options,
+                          context));
   response.count = response.matches.size();
   return response;
 }

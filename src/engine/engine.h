@@ -197,6 +197,10 @@ class QueryEngine {
   BatchResponse Batch(const BatchRequest& request) const;
 
   /// Wildcard path query ("//a//~b//c") evaluated against the backend.
+  /// On a labelled backend the step candidates are reduced with the
+  /// labels FetchJoinLabel serves (query/path_query.h), so a label the
+  /// engine cannot read fails the query with that fetch's status
+  /// (Corruption for a damaged block) instead of shortening the answer.
   Result<PathQueryResponse> Query(const PathQueryRequest& request) const;
 
   // Axis enumeration pass-throughs.
@@ -233,11 +237,16 @@ class QueryEngine {
   PinnedJoin FetchJoinLabel(LabelCache::Side side, NodeId node,
                             BatchStats* stats, Status* error) const;
 
+  /// FetchJoinLabel as the path reducer's label source.
+  class PathLabels;
+
   const collection::Collection* collection_;
   std::unique_ptr<ReachabilityBackend> backend_;
   std::shared_ptr<const query::TagIndex> tags_;
   std::optional<query::TagSimilarity> similarity_;
   mutable LabelCache cache_;
+  /// The path reducer's per-center scratch, reused across queries.
+  mutable query::SemiJoinScratch semi_join_scratch_;
 };
 
 }  // namespace hopi::engine

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "engine/backends.h"
-#include "engine/hopi_backend.h"
 #include "twohop/cover.h"
 
 namespace hopi::engine {

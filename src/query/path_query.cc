@@ -1,9 +1,7 @@
 #include "query/path_query.h"
 
 #include <algorithm>
-
-#include "engine/hopi_backend.h"
-#include "twohop/join_kernel.h"
+#include <cassert>
 
 namespace hopi::query {
 
@@ -52,6 +50,60 @@ namespace {
 
 using engine::ReachabilityBackend;
 
+enum class SemiJoinDirection {
+  kForward,   ///< keep probes that some anchor reaches
+  kBackward,  ///< keep probes that reach some anchor
+};
+
+/// The reducer's set-at-a-time primitive. Sets (*keep)[i] to whether
+/// probes[i] is strictly reachable from some anchor (forward), or
+/// strictly reaches some anchor (backward) — through an anchor other
+/// than probes[i] itself. Without labels only the forward direction
+/// runs (count_only). Fails only with the first label-fetch error.
+Status SemiJoin(SemiJoinDirection direction, std::span<const NodeId> anchors,
+                std::span<const NodeId> probes,
+                const ReachabilityBackend& backend,
+                const SemiJoinContext& context, std::vector<uint8_t>* keep) {
+  const bool forward = direction == SemiJoinDirection::kForward;
+  assert(forward || context.labels != nullptr);
+  SemiJoinScratch local;
+  SemiJoinScratch& scratch = context.scratch ? *context.scratch : local;
+  Status error = Status::OK();
+  auto for_each_center = [&](bool out, NodeId node, auto&& visit) {
+    engine::PinnedJoin label = context.labels->Fetch(out, node, &error);
+    for (size_t i = 0; i < label.view.n; ++i) {
+      if (visit(label.view.center(i))) return;
+    }
+  };
+  scratch.Begin();
+  for (NodeId s : anchors) {
+    scratch.Add(s, s);
+    if (context.labels == nullptr) {
+      // Label-less: the anchor's descendants stand in for its centers.
+      for (NodeId d : backend.Descendants(s)) scratch.Add(d, s);
+    } else {
+      for_each_center(forward, s, [&](NodeId c) {
+        scratch.Add(c, s);
+        return false;
+      });
+    }
+  }
+  keep->assign(probes.size(), 0);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    NodeId t = probes[i];
+    bool hit = scratch.HitsOther(t, t);
+    if (context.labels != nullptr) {
+      // Fetched even after a self hit, so a corrupt label never hides.
+      for_each_center(!forward, t, [&](NodeId c) {
+        hit = hit || scratch.HitsOther(c, t);
+        return hit;
+      });
+    }
+    (*keep)[i] = hit;
+  }
+  return error;
+}
+
 /// One candidate element with its tag-similarity weight (1.0 unless the
 /// step is approximate and the element matched through a synonym).
 struct Candidate {
@@ -90,20 +142,52 @@ std::vector<Candidate> StepCandidates(const PathStep& step,
   return out;
 }
 
-/// Depth-first enumeration of bindings.
+std::vector<NodeId> Elements(const std::vector<Candidate>& candidates) {
+  std::vector<NodeId> out;
+  out.reserve(candidates.size());
+  for (const Candidate& c : candidates) out.push_back(c.element);
+  return out;
+}
+
+/// One semi-join pass: drops the candidates of `*probes` that no element
+/// of `anchors` reaches (forward) or that reach none of them (backward).
+Status Reduce(SemiJoinDirection direction,
+              const std::vector<Candidate>& anchors,
+              std::vector<Candidate>* probes,
+              const ReachabilityBackend& backend,
+              const SemiJoinContext& context) {
+  std::vector<uint8_t> keep;
+  HOPI_RETURN_NOT_OK(SemiJoin(direction, Elements(anchors), Elements(*probes),
+                              backend, context, &keep));
+  size_t kept = 0;
+  for (size_t i = 0; i < probes->size(); ++i) {
+    if (keep[i]) (*probes)[kept++] = (*probes)[i];
+  }
+  probes->resize(kept);
+  return Status::OK();
+}
+
+/// Depth-first enumeration of bindings. `step_dists[i]` is the distance
+/// from bindings[i-1] to bindings[i] when the max_step_distance filter
+/// already computed it.
 void Enumerate(const std::vector<std::vector<Candidate>>& candidates,
                const ReachabilityBackend& backend,
                const PathQueryOptions& options, size_t step,
-               std::vector<NodeId>* bindings, double tag_score,
+               std::vector<NodeId>* bindings,
+               std::vector<uint32_t>* step_dists, double tag_score,
                std::vector<PathMatch>* out) {
   if (out->size() >= options.max_matches) return;
+  const bool filter_distance =
+      options.max_step_distance != UINT32_MAX && backend.with_distance();
   if (step == candidates.size()) {
     PathMatch match;
     match.bindings = *bindings;
     match.score = tag_score;
     for (size_t i = 1; i < bindings->size(); ++i) {
       uint32_t d = 0;
-      if (backend.with_distance()) {
+      if (filter_distance) {
+        d = (*step_dists)[i];
+      } else if (backend.with_distance()) {
         auto dist = backend.Distance((*bindings)[i - 1], (*bindings)[i]);
         d = dist ? *dist : 0;
       }
@@ -114,20 +198,23 @@ void Enumerate(const std::vector<std::vector<Candidate>>& candidates,
     return;
   }
   for (const Candidate& cand : candidates[step]) {
+    uint32_t d = 0;
     if (step > 0) {
       NodeId prev = bindings->back();
       if (prev == cand.element || !backend.IsReachable(prev, cand.element)) {
         continue;
       }
-      if (options.max_step_distance != UINT32_MAX &&
-          backend.with_distance()) {
-        auto d = backend.Distance(prev, cand.element);
-        if (!d || *d > options.max_step_distance) continue;
+      if (filter_distance) {
+        auto dist = backend.Distance(prev, cand.element);
+        if (!dist || *dist > options.max_step_distance) continue;
+        d = *dist;
       }
     }
     bindings->push_back(cand.element);
-    Enumerate(candidates, backend, options, step + 1, bindings,
+    step_dists->push_back(d);
+    Enumerate(candidates, backend, options, step + 1, bindings, step_dists,
               tag_score * cand.tag_score, out);
+    step_dists->pop_back();
     bindings->pop_back();
     if (out->size() >= options.max_matches) return;
   }
@@ -138,7 +225,7 @@ void Enumerate(const std::vector<std::vector<Candidate>>& candidates,
 Result<std::vector<PathMatch>> EvaluatePath(
     const PathExpression& expr, const engine::ReachabilityBackend& backend,
     const collection::Collection& collection, const TagIndex& tags,
-    const PathQueryOptions& options) {
+    const PathQueryOptions& options, const SemiJoinContext& context) {
   if (expr.steps.empty()) {
     return Status::InvalidArgument("empty path expression");
   }
@@ -148,9 +235,29 @@ Result<std::vector<PathMatch>> EvaluatePath(
     candidates.push_back(StepCandidates(step, collection, tags, options));
     if (candidates.back().empty()) return std::vector<PathMatch>{};
   }
+  // Full reducer: after the forward and the backward pass every
+  // remaining candidate takes part in some match, so the enumeration
+  // below never explores a dead end it would have to back out of.
+  // Label-less backends skip it: enumerating every candidate's
+  // Descendants costs more than the pair probes of an enumeration that
+  // stops at max_matches (one BFS per candidate on the delta overlay).
+  if (context.labels != nullptr) {
+    for (size_t s = 1; s < candidates.size(); ++s) {
+      HOPI_RETURN_NOT_OK(Reduce(SemiJoinDirection::kForward,
+                                candidates[s - 1], &candidates[s], backend,
+                                context));
+      if (candidates[s].empty()) return std::vector<PathMatch>{};
+    }
+    for (size_t s = candidates.size() - 1; s > 0; --s) {
+      HOPI_RETURN_NOT_OK(Reduce(SemiJoinDirection::kBackward, candidates[s],
+                                &candidates[s - 1], backend, context));
+    }
+  }
   std::vector<PathMatch> matches;
   std::vector<NodeId> bindings;
-  Enumerate(candidates, backend, options, 0, &bindings, 1.0, &matches);
+  std::vector<uint32_t> step_dists;
+  Enumerate(candidates, backend, options, 0, &bindings, &step_dists, 1.0,
+            &matches);
   std::stable_sort(matches.begin(), matches.end(),
                    [](const PathMatch& a, const PathMatch& b) {
                      return a.score > b.score;
@@ -161,60 +268,24 @@ Result<std::vector<PathMatch>> EvaluatePath(
 Result<size_t> CountPathResults(const PathExpression& expr,
                                 const engine::ReachabilityBackend& backend,
                                 const collection::Collection& collection,
-                                const TagIndex& tags) {
+                                const TagIndex& tags,
+                                const SemiJoinContext& context) {
   if (expr.steps.empty()) {
     return Status::InvalidArgument("empty path expression");
   }
   PathQueryOptions options;  // exact semantics for counting
-  // Forward filtering: keep, per step, the candidates reachable from some
-  // survivor of the previous step. Set-based, no enumeration blowup.
+  // The forward half of the reducer: the last step's survivors are the
+  // distinct elements some match ends in.
   std::vector<Candidate> frontier =
       StepCandidates(expr.steps.front(), collection, tags, options);
   for (size_t s = 1; s < expr.steps.size() && !frontier.empty(); ++s) {
-    std::vector<Candidate> next_candidates =
+    std::vector<Candidate> next =
         StepCandidates(expr.steps[s], collection, tags, options);
-    // Union of descendants of the frontier (sorted, deduped), then a
-    // sorted-set intersection with the candidate ids. The intersection
-    // goes through the join-kernel helper, which gallops when one side
-    // dwarfs the other — the common shape here (few candidates for a
-    // selective tag, a large reachable union).
-    std::vector<uint32_t> reachable;
-    for (const Candidate& f : frontier) {
-      std::vector<NodeId> desc = backend.Descendants(f.element);
-      reachable.insert(reachable.end(), desc.begin(), desc.end());
-    }
-    std::sort(reachable.begin(), reachable.end());
-    reachable.erase(std::unique(reachable.begin(), reachable.end()),
-                    reachable.end());
-    std::vector<uint32_t> ids;
-    ids.reserve(next_candidates.size());
-    for (const Candidate& c : next_candidates) ids.push_back(c.element);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    std::vector<uint32_t> common = twohop::IntersectSorted(ids, reachable);
-    std::vector<Candidate> survivors;
-    for (const Candidate& c : next_candidates) {
-      if (std::binary_search(common.begin(), common.end(), c.element)) {
-        survivors.push_back(c);
-      }
-    }
-    frontier = std::move(survivors);
+    HOPI_RETURN_NOT_OK(
+        Reduce(SemiJoinDirection::kForward, frontier, &next, backend, context));
+    frontier = std::move(next);
   }
   return frontier.size();
-}
-
-Result<std::vector<PathMatch>> EvaluatePath(const PathExpression& expr,
-                                            const HopiIndex& index,
-                                            const TagIndex& tags,
-                                            const PathQueryOptions& options) {
-  engine::HopiIndexBackend backend(index);
-  return EvaluatePath(expr, backend, *index.collection(), tags, options);
-}
-
-Result<size_t> CountPathResults(const PathExpression& expr,
-                                const HopiIndex& index, const TagIndex& tags) {
-  engine::HopiIndexBackend backend(index);
-  return CountPathResults(expr, backend, *index.collection(), tags);
 }
 
 }  // namespace hopi::query

@@ -8,21 +8,50 @@
 // Results can be ranked by connection length, the XXL-style scoring the
 // distance-aware index exists for (paper Sec 5.1).
 //
-// Evaluation runs against the engine::ReachabilityBackend interface, so
-// the same query executes over the in-memory HOPI labels, the LIN/LOUT
-// tables, or the materialized-closure baseline (engine/backends.h).
-// Most callers should go through the engine::QueryEngine facade rather
-// than calling these free functions directly.
+// Evaluation is set-at-a-time. A chain query is acyclic, so a semi-join
+// full reducer (Yannakakis, VLDB 1981) removes exactly the step
+// candidates that take part in no match: a forward pass keeps the
+// candidates of step i+1 that some survivor of step i reaches, and a
+// backward pass keeps the candidates of step i that reach some survivor
+// of step i+1. CountPathResults is the forward chain alone;
+// EvaluatePath runs both passes and then the depth-first enumeration
+// over what is left, so it emits exactly the match sequence, the
+// max_matches cut-off, the scores and distances the unreduced
+// enumeration would.
+//
+// Each pass tests a whole candidate set against another with the 2-hop
+// labels instead of pair by pair: the anchors' centers Lout(s) ∪ {s} go
+// into a scratch array indexed by center, and each probe t is kept when
+// one of Lin(t) ∪ {t} is there (Cohen et al., SODA 2002). That costs
+// O(sum of label sizes) where the per-pair test costs O(|A|·|B|) label
+// merges. Reachability is *strict*: a pair binds two different
+// elements, so t needs an anchor s != t.
+// The scratch keeps up to two distinct anchors per center, which keeps
+// that exclusion exact when s and t share a center — a node on a link
+// cycle reaches itself through its own labels.
+//
+// Labels come from a LabelSource; engine::QueryEngine passes one over
+// its label fetch (memo → block → borrow), so a corrupt block surfaces
+// as the query's Corruption status instead of a short answer. Without a
+// label source — backends with HasLabels() == false (closure, delta
+// overlay, sharded) or a direct call without one — CountPathResults
+// takes each anchor's Descendants as its center set and the probe alone
+// as its own: the same test, fed by the backend's axis enumeration.
+// EvaluatePath skips the reducer there and enumerates directly, because
+// a Descendants enumeration per candidate costs more than the pair
+// probes of an enumeration that stops at max_matches. Most callers
+// should go through the engine::QueryEngine facade rather than calling
+// these free functions directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "collection/collection.h"
 #include "engine/backend.h"
-#include "hopi/index.h"
 #include "query/similarity.h"
 #include "query/tag_index.h"
 #include "util/result.h"
@@ -75,32 +104,83 @@ struct PathQueryOptions {
   double min_tag_similarity = 0.3;
 };
 
+/// Lends the reducer one 2-hop label at a time.
+class LabelSource {
+ public:
+  virtual ~LabelSource() = default;
+
+  /// Lout(node) when `out`, else Lin(node). The view stays valid while
+  /// the returned PinnedJoin lives. A failed fetch returns an empty
+  /// view and records its status in `*error` unless one is already set.
+  virtual engine::PinnedJoin Fetch(bool out, NodeId node,
+                                   Status* error) const = 0;
+};
+
+/// Scratch for the reducer's passes: one slot per center, stamped with the pass
+/// that wrote it, so a pass starts in O(1) and a long-lived owner (one
+/// per QueryEngine) allocates only when the collection grows.
+class SemiJoinScratch {
+ public:
+  /// Starts a pass: every slot written before reads as empty.
+  void Begin() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias
+      for (Slot& slot : slots_) slot.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+
+  /// Records that `anchor` contributes `center`. A slot keeps the first
+  /// two distinct anchors; two are enough to answer HitsOther exactly.
+  void Add(NodeId center, NodeId anchor) {
+    if (center >= slots_.size()) slots_.resize(size_t{center} + 1);
+    Slot& slot = slots_[center];
+    if (slot.epoch != epoch_) {
+      slot = {epoch_, anchor, anchor};
+    } else if (slot.first == slot.second && slot.first != anchor) {
+      slot.second = anchor;
+    }
+  }
+
+  /// True when some anchor other than `probe` contributed `center`.
+  bool HitsOther(NodeId center, NodeId probe) const {
+    if (center >= slots_.size()) return false;
+    const Slot& slot = slots_[center];
+    return slot.epoch == epoch_ &&
+           (slot.first != probe || slot.second != probe);
+  }
+
+ private:
+  struct Slot {
+    uint32_t epoch = 0;
+    NodeId first = 0;
+    NodeId second = 0;  // == first until a second anchor shows up
+  };
+  std::vector<Slot> slots_;
+  uint32_t epoch_ = 0;
+};
+
+/// What the reducer runs on. Both are optional: without `labels`
+/// counting falls back to the backend's Descendants and EvaluatePath
+/// does not reduce, and without `scratch` each pass allocates its own.
+struct SemiJoinContext {
+  const LabelSource* labels = nullptr;
+  SemiJoinScratch* scratch = nullptr;
+};
+
 /// Evaluates `expr` against a reachability backend and returns matches
 /// sorted by descending score (insertion order for plain backends).
 /// `collection` supplies the live-element universe for wildcard steps.
 Result<std::vector<PathMatch>> EvaluatePath(
     const PathExpression& expr, const engine::ReachabilityBackend& backend,
     const collection::Collection& collection, const TagIndex& tags,
-    const PathQueryOptions& options = {});
+    const PathQueryOptions& options = {}, const SemiJoinContext& context = {});
 
 /// Counts distinct elements matching the final step (cheaper than
 /// materializing matches; the typical "find all results" engine call).
 Result<size_t> CountPathResults(const PathExpression& expr,
                                 const engine::ReachabilityBackend& backend,
                                 const collection::Collection& collection,
-                                const TagIndex& tags);
-
-// ---- deprecated shims ----
-//
-// Pre-facade overloads hard-wired to HopiIndex. They wrap the index in a
-// HopiIndexBackend and forward; prefer the backend overloads (or the
-// QueryEngine facade) in new code.
-
-Result<std::vector<PathMatch>> EvaluatePath(
-    const PathExpression& expr, const HopiIndex& index, const TagIndex& tags,
-    const PathQueryOptions& options = {});
-
-Result<size_t> CountPathResults(const PathExpression& expr,
-                                const HopiIndex& index, const TagIndex& tags);
+                                const TagIndex& tags,
+                                const SemiJoinContext& context = {});
 
 }  // namespace hopi::query

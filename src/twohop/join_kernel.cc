@@ -415,46 +415,4 @@ LabelJoinResult JoinViews(NodeId u, NodeId v, const JoinView& lout,
   return result;
 }
 
-std::vector<uint32_t> IntersectSorted(std::span<const uint32_t> a,
-                                      std::span<const uint32_t> b,
-                                      JoinKernel kernel) {
-  std::vector<uint32_t> out;
-  if (a.empty() || b.empty()) return out;
-  std::span<const uint32_t> small = a.size() <= b.size() ? a : b;
-  std::span<const uint32_t> large = a.size() <= b.size() ? b : a;
-  out.reserve(small.size());
-  JoinKernel k = kernel != JoinKernel::kAuto ? kernel : ForcedJoinKernel();
-  bool gallop = k == JoinKernel::kGallop ||
-                (k == JoinKernel::kAuto &&
-                 large.size() / small.size() >= kGallopRatio);
-  if (gallop) {
-    JoinView lv;
-    lv.centers = large.data();
-    lv.n = large.size();
-    size_t pos = 0;
-    for (uint32_t key : small) {
-      pos = Gallop(lv, pos, key);
-      if (pos == lv.n) break;
-      if (large[pos] == key) {
-        out.push_back(key);
-        ++pos;
-      }
-    }
-    return out;
-  }
-  size_t i = 0, j = 0;
-  while (i < small.size() && j < large.size()) {
-    if (small[i] < large[j]) {
-      ++i;
-    } else if (small[i] > large[j]) {
-      ++j;
-    } else {
-      out.push_back(small[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
 }  // namespace hopi::twohop

@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -89,12 +88,5 @@ JoinKernel ResolveJoinKernel(JoinKernel requested, size_t lout_n,
 LabelJoinResult JoinViews(NodeId u, NodeId v, const JoinView& lout,
                           const JoinView& lin, bool want_distance,
                           JoinKernel kernel = JoinKernel::kAuto);
-
-/// Sorted-set intersection of two ascending unique id sequences,
-/// galloping when the sizes are skewed (the query/path_query frontier
-/// filter). Returns the common ids, ascending.
-std::vector<uint32_t> IntersectSorted(std::span<const uint32_t> a,
-                                      std::span<const uint32_t> b,
-                                      JoinKernel kernel = JoinKernel::kAuto);
 
 }  // namespace hopi::twohop

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,9 +10,12 @@
 
 #include "engine/backends.h"
 #include "engine/engine.h"
+#include "engine/engine_pool.h"
 #include "engine/label_cache.h"
+#include "engine/snapshot.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
+#include "storage/format.h"
 #include "storage/linlout.h"
 #include "test_util.h"
 #include "twohop/join_kernel.h"
@@ -27,8 +31,12 @@ using collection::Collection;
 /// on-disk formats preserve every query shape).
 class BackendParityFixture : public ::testing::Test {
  protected:
+  virtual Collection MakeCollection() const {
+    return hopi::testing::SmallDblp(40, 5);
+  }
+
   void SetUp() override {
-    c_ = hopi::testing::SmallDblp(40, 5);
+    c_ = MakeCollection();
     IndexBuildOptions options;
     options.with_distance = true;
     auto index = BuildIndex(&c_, options);
@@ -156,23 +164,6 @@ TEST_F(BackendParityFixture, PathQueryParityAcrossBackends) {
       EXPECT_EQ(*count, *expect_count) << backends_[b]->Name() << " " << q;
     }
   }
-}
-
-TEST_F(BackendParityFixture, DeprecatedShimMatchesBackendOverload) {
-  query::TagIndex tags(c_);
-  auto expr = query::PathExpression::Parse("//inproceedings//cite");
-  ASSERT_TRUE(expr.ok());
-  auto via_shim = query::EvaluatePath(*expr, *index_, tags);
-  auto via_backend = query::EvaluatePath(*expr, *backends_[0], c_, tags);
-  ASSERT_TRUE(via_shim.ok() && via_backend.ok());
-  ASSERT_EQ(via_shim->size(), via_backend->size());
-  for (size_t i = 0; i < via_shim->size(); ++i) {
-    EXPECT_EQ((*via_shim)[i].bindings, (*via_backend)[i].bindings);
-  }
-  auto count_shim = query::CountPathResults(*expr, *index_, tags);
-  auto count_backend = query::CountPathResults(*expr, *backends_[0], c_, tags);
-  ASSERT_TRUE(count_shim.ok() && count_backend.ok());
-  EXPECT_EQ(*count_shim, *count_backend);
 }
 
 // ---- the facade ----
@@ -490,6 +481,316 @@ TEST_F(QueryEngineFixture, SimilarityOptionExpandsApproximateSteps) {
   auto approx = engine.Query({.expression = "//~book//author"});
   ASSERT_TRUE(exact.ok() && approx.ok());
   EXPECT_GE(approx->count, exact->count);
+}
+
+TEST_F(QueryEngineFixture, CorruptBlockFailsPathQueriesTyped) {
+  // A lazily opened v4 store checks a block's CRC when it first decodes
+  // it. A damaged LIN or LOUT row must then fail the whole path query
+  // with Corruption, the way Batch reports it in `error` — never come
+  // back as a shorter answer. `//*//*` reads every row of both sides.
+  auto info = storage::InspectFile(v4_path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  const std::string path = ::testing::TempDir() + "hopi_engine_corrupt_v4.bin";
+  for (storage::SectionV4 section :
+       {storage::kV4LinBlob, storage::kV4LoutBlob}) {
+    std::vector<std::byte> image = hopi::testing::ReadFileBytes(v4_path_);
+    const storage::SectionRange& blob = info->sections[section];
+    ASSERT_GT(blob.length, 0u);
+    image[blob.offset + blob.length / 2] ^= std::byte{0x08};
+    FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f), image.size());
+    std::fclose(f);
+    auto store = storage::MappedLinLoutStore::Open(
+        path, {.verify_file_checksum = false});
+    ASSERT_TRUE(store.ok()) << store.status();
+    QueryEngine engine = QueryEngine::ForMappedStore(c_, *store);
+    auto count = engine.Query({.expression = "//*//*", .count_only = true});
+    EXPECT_TRUE(count.status().IsCorruption()) << count.status();
+    auto matches = engine.Query({.expression = "//*//*"});
+    EXPECT_TRUE(matches.status().IsCorruption()) << matches.status();
+  }
+  std::remove(path.c_str());
+}
+
+// ---- the path reducer against a pair-by-pair evaluator ----
+
+using Candidates = std::vector<std::pair<NodeId, double>>;
+
+/// The step candidates in evaluator order: tag lookup, synonyms sorted
+/// by element, or every live element for `*`.
+std::vector<Candidates> NaiveCandidates(
+    const query::PathExpression& expr, const Collection& c,
+    const query::TagIndex& tags, const query::PathQueryOptions& options) {
+  std::vector<Candidates> steps;
+  for (const query::PathStep& step : expr.steps) {
+    Candidates cands;
+    if (step.tag == "*") {
+      for (NodeId e : hopi::testing::LiveElements(c)) cands.push_back({e, 1.0});
+    } else if (step.approximate && options.similarity != nullptr) {
+      for (const auto& [tag, sim] : options.similarity->Related(
+               step.tag, options.min_tag_similarity)) {
+        for (NodeId e : tags.Lookup(tag)) cands.push_back({e, sim});
+      }
+      std::sort(cands.begin(), cands.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    } else {
+      for (NodeId e : tags.Lookup(step.tag)) cands.push_back({e, 1.0});
+    }
+    steps.push_back(std::move(cands));
+  }
+  return steps;
+}
+
+/// The path semantics spelled out pair by pair with no reducer: bind a
+/// candidate when the previous binding is a different element that
+/// reaches it (within max_step_distance), stop at max_matches, then
+/// stable-sort by score. `oracle` answers reachability and distance.
+std::vector<query::PathMatch> NaiveMatches(
+    const std::string& text, const ReachabilityBackend& oracle,
+    const Collection& c, const query::TagIndex& tags,
+    const query::PathQueryOptions& options) {
+  auto expr = query::PathExpression::Parse(text);
+  EXPECT_TRUE(expr.ok()) << text;
+  const std::vector<Candidates> steps =
+      NaiveCandidates(*expr, c, tags, options);
+  const bool filter = options.max_step_distance != UINT32_MAX &&
+                      oracle.with_distance();
+  std::vector<query::PathMatch> out;
+  std::vector<NodeId> bound;
+  std::function<void(size_t, double)> walk = [&](size_t i, double tag_score) {
+    if (i == steps.size()) {
+      query::PathMatch m;
+      m.bindings = bound;
+      m.score = tag_score;
+      for (size_t k = 1; k < bound.size(); ++k) {
+        uint32_t d = oracle.with_distance()
+                         ? oracle.Distance(bound[k - 1], bound[k]).value_or(0)
+                         : 0;
+        m.total_distance += d;
+        m.score *= 1.0 / (1.0 + d);
+      }
+      out.push_back(std::move(m));
+      return;
+    }
+    for (const auto& [e, sim] : steps[i]) {
+      if (out.size() >= options.max_matches) return;
+      if (i > 0) {
+        NodeId prev = bound.back();
+        if (prev == e || !oracle.IsReachable(prev, e)) continue;
+        if (filter) {
+          auto d = oracle.Distance(prev, e);
+          if (!d || *d > options.max_step_distance) continue;
+        }
+      }
+      bound.push_back(e);
+      walk(i + 1, tag_score * sim);
+      bound.pop_back();
+    }
+  };
+  if (options.max_matches > 0) walk(0, 1.0);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const query::PathMatch& a, const query::PathMatch& b) {
+                     return a.score > b.score;
+                   });
+  return out;
+}
+
+/// count_only pair by pair: the final-step candidates some chain of
+/// strictly reachable, pairwise different neighbours ends in.
+size_t NaiveCount(const std::string& text, const ReachabilityBackend& oracle,
+                  const Collection& c, const query::TagIndex& tags) {
+  auto expr = query::PathExpression::Parse(text);
+  EXPECT_TRUE(expr.ok()) << text;
+  std::vector<Candidates> steps = NaiveCandidates(*expr, c, tags, {});
+  Candidates frontier = steps[0];
+  for (size_t i = 1; i < steps.size(); ++i) {
+    Candidates next;
+    for (const auto& t : steps[i]) {
+      for (const auto& s : frontier) {
+        if (s.first != t.first && oracle.IsReachable(s.first, t.first)) {
+          next.push_back(t);
+          break;
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return frontier.size();
+}
+
+void ExpectSameSequence(const std::vector<query::PathMatch>& got,
+                        const std::vector<query::PathMatch>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].bindings, want[i].bindings) << where << " match " << i;
+    EXPECT_EQ(got[i].total_distance, want[i].total_distance)
+        << where << " match " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << where << " match " << i;
+  }
+}
+
+struct PathCase {
+  const char* expression;
+  size_t max_matches = 1000;
+  uint32_t max_step_distance = UINT32_MAX;
+};
+
+/// Same-tag, wildcard, empty-middle, cyclic (`loop`/`spoke`, see
+/// CyclicPathFixture), approximate, distance-bounded and truncated
+/// queries. Tags missing from a collection just give empty answers.
+const PathCase kPathCases[] = {
+    {"//cite//cite"},
+    {"//*//title"},
+    {"//title//*"},
+    {"//cite//*//title"},
+    {"//*//cite//author"},
+    {"//author//nosuchtag//title"},
+    {"//title//author//cite"},
+    {"//loop//loop"},
+    {"//loop//*//loop"},
+    {"//hub//loop"},
+    {"//spoke//*//spoke"},
+    {"//~section//~author"},
+    {"//~cite//title"},
+    {"//*//author", 1000, 1},
+    {"//cite//*//title", 1000, 2},
+    {"//~cite//*", 1000, 1},
+    {"//*//title", 7},
+    {"//cite//cite", 1},
+    {"//~cite//*", 13},
+};
+
+query::TagSimilarity PathCaseSynonyms() {
+  query::TagSimilarity sim;
+  sim.AddSynonym("section", "inproceedings", 0.7);
+  sim.AddSynonym("section", "article", 0.8);
+  sim.AddSynonym("author", "title", 0.6);
+  sim.AddSynonym("cite", "footnote", 0.5);
+  sim.AddSynonym("cite", "note", 0.4);
+  return sim;
+}
+
+/// Runs every PathCase through `query` (materializing and count_only)
+/// and compares it with the pair-by-pair evaluator over `oracle`.
+void ExpectPathCasesMatchOracle(
+    const std::string& name, const ReachabilityBackend& oracle,
+    const Collection& c, const query::TagIndex& tags,
+    const query::TagSimilarity& sim,
+    const std::function<Result<PathQueryResponse>(PathQueryRequest)>& query) {
+  for (const PathCase& pc : kPathCases) {
+    query::PathQueryOptions options;
+    options.max_matches = pc.max_matches;
+    options.max_step_distance = pc.max_step_distance;
+    options.similarity = &sim;
+    const std::string where = name + " " + pc.expression;
+    auto got = query({.expression = pc.expression,
+                      .max_matches = pc.max_matches,
+                      .max_step_distance = pc.max_step_distance});
+    ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+    ExpectSameSequence(got->matches,
+                       NaiveMatches(pc.expression, oracle, c, tags, options),
+                       where);
+    auto count = query({.expression = pc.expression, .count_only = true});
+    ASSERT_TRUE(count.ok()) << where << ": " << count.status();
+    EXPECT_EQ(count->count, NaiveCount(pc.expression, oracle, c, tags))
+        << where;
+  }
+}
+
+/// Every serving shape against the pair-by-pair evaluator over the
+/// closure: the four labelled and label-less single engines, an
+/// EnginePool (labels), and the same pool once a delta is buffered
+/// (the label-less overlay).
+void CheckPathReducer(const Collection& c, const HopiIndex& index,
+                      const TransitiveClosureIndex& closure,
+                      const storage::MappedLinLoutStore& mapped_v3,
+                      const storage::MappedLinLoutStore& mapped_v4) {
+  const query::TagSimilarity sim = PathCaseSynonyms();
+  QueryEngineOptions options;
+  options.similarity = sim;
+  std::vector<QueryEngine> engines;
+  engines.push_back(QueryEngine::ForIndex(index, options));
+  engines.push_back(QueryEngine::ForMappedStore(c, mapped_v3, options));
+  engines.push_back(QueryEngine::ForMappedStore(c, mapped_v4, options));
+  engines.push_back(QueryEngine::ForClosure(c, closure, true, options));
+  ClosureBackend oracle(closure, /*with_distance=*/true);
+  for (const QueryEngine& engine : engines) {
+    ExpectPathCasesMatchOracle(
+        std::string(engine.backend().Name()), oracle, c, engine.tags(), sim,
+        [&engine](PathQueryRequest r) { return engine.Query(r); });
+  }
+
+  EnginePoolOptions pool_options;
+  pool_options.num_threads = 2;
+  pool_options.similarity = sim;
+  EnginePool pool(BackendSnapshot::OfIndex(Unowned(index)), pool_options);
+  auto pool_query = [&pool](PathQueryRequest r) -> Result<PathQueryResponse> {
+    HOPI_ASSIGN_OR_RETURN(PoolPathResponse response, pool.Query(std::move(r)));
+    return response.result;
+  };
+  query::TagIndex tags(c);
+  ExpectPathCasesMatchOracle("pool", oracle, c, tags, sim, pool_query);
+
+  // One buffered link puts the pool on the overlay: plain answers over
+  // base ∪ delta until a rebuild.
+  const std::vector<NodeId>& titles = tags.Lookup("title");
+  ASSERT_FALSE(titles.empty());
+  NodeId from = titles.front();
+  NodeId to = kInvalidNode;
+  for (NodeId e = 0; e < c.NumElements() && to == kInvalidNode; ++e) {
+    if (e != from && !closure.IsReachable(from, e)) to = e;
+  }
+  ASSERT_NE(to, kInvalidNode);
+  ASSERT_TRUE(pool.EnableMutations(index).ok());
+  ASSERT_TRUE(pool.ApplyMutation(Mutation::InsertLink(from, to)).ok());
+  Collection grown = c;
+  ASSERT_TRUE(grown.AddLink(from, to));
+  TransitiveClosureIndex grown_closure =
+      TransitiveClosureIndex::Build(grown.ElementGraph(), false);
+  ClosureBackend plain_oracle(grown_closure, /*with_distance=*/false);
+  ExpectPathCasesMatchOracle("pool+overlay", plain_oracle, c, tags, sim,
+                             pool_query);
+}
+
+TEST_F(QueryEngineFixture, PathReducerMatchesPairByPairEvaluation) {
+  CheckPathReducer(c_, *index_, *closure_, *mapped_store_, *mapped_v4_store_);
+}
+
+/// A random collection with link cycles, plus two documents whose
+/// `loop` and `spoke` elements link to each other (u -> v -> u): `loop`
+/// is the only element of its tag and reaches itself, which a pair
+/// must never bind.
+class CyclicPathFixture : public QueryEngineFixture {
+ protected:
+  Collection MakeCollection() const override {
+    Collection c = hopi::testing::RandomCollection(24, 6, 30, 29);
+    collection::DocId a = c.AddDocument("cycle_a.xml");
+    NodeId loop = c.AddElement(a, "loop", c.AddElement(a, "hub"));
+    collection::DocId b = c.AddDocument("cycle_b.xml");
+    NodeId spoke = c.AddElement(b, "spoke", c.AddElement(b, "hub"));
+    EXPECT_TRUE(c.AddLink(loop, spoke));
+    EXPECT_TRUE(c.AddLink(spoke, loop));
+    return c;
+  }
+};
+
+TEST_F(CyclicPathFixture, PathReducerMatchesPairByPairEvaluation) {
+  CheckPathReducer(c_, *index_, *closure_, *mapped_store_, *mapped_v4_store_);
+  // The cycle itself, spelled out.
+  for (const auto& engine : engines_) {
+    auto self = engine->Query({.expression = "//loop//loop"});
+    ASSERT_TRUE(self.ok());
+    EXPECT_TRUE(self->matches.empty()) << engine->backend().Name();
+    auto round_trip = engine->Query({.expression = "//loop//*//loop"});
+    ASSERT_TRUE(round_trip.ok());
+    EXPECT_FALSE(round_trip->matches.empty()) << engine->backend().Name();
+    auto count =
+        engine->Query({.expression = "//loop//loop", .count_only = true});
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count->count, 0u) << engine->backend().Name();
+  }
 }
 
 // ---- the byte-budgeted block cache ----

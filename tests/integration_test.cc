@@ -8,6 +8,7 @@
 #include "collection/builder.h"
 #include "datagen/dblp.h"
 #include "datagen/xmark.h"
+#include "engine/engine.h"
 #include "graph/traversal.h"
 #include "hopi/baseline.h"
 #include "hopi/build.h"
@@ -167,15 +168,16 @@ TEST(IntegrationTest, QueriesAcrossGeneratedXmark) {
   ASSERT_TRUE(index.ok());
   query::TagIndex tags(c);
 
-  auto expr = query::PathExpression::Parse("//open_auction//name");
-  ASSERT_TRUE(expr.ok());
-  auto count = query::CountPathResults(*expr, *index, tags);
+  engine::QueryEngine engine = engine::QueryEngine::ForIndex(*index);
+  auto count = engine.Query(
+      {.expression = "//open_auction//name", .count_only = true});
   ASSERT_TRUE(count.ok());
-  EXPECT_GT(*count, 0u);  // every auction references an item with a name
+  // Every auction references an item with a name.
+  EXPECT_GT(count->count, 0u);
 
   // Brute-force cross-check on a sample: count via raw BFS reachability.
-  auto matches = query::EvaluatePath(*expr, *index, tags,
-                                     {.max_matches = 100000});
+  auto matches = engine.Query(
+      {.expression = "//open_auction//name", .max_matches = 100000});
   ASSERT_TRUE(matches.ok());
   size_t brute = 0;
   for (NodeId a : tags.Lookup("open_auction")) {
@@ -183,7 +185,7 @@ TEST(IntegrationTest, QueriesAcrossGeneratedXmark) {
       if (a != n && hopi::IsReachable(c.ElementGraph(), a, n)) ++brute;
     }
   }
-  EXPECT_EQ(matches->size(), brute);
+  EXPECT_EQ(matches->matches.size(), brute);
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 // label shapes — empties, singletons, all-shared sets, interleaved
 // disjoint sets, UINT32_MAX boundary centers, wrapping distance sums,
 // want_distance on and off. Plus the dispatch rules, the forced-kernel
-// degradation ladder, the LabelSummary one-sidedness contract, and the
-// IntersectSorted helper.
+// degradation ladder, and the LabelSummary one-sidedness contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,30 +296,6 @@ TEST(JoinKernelTest, SupportedKernelsStartWithScalar) {
   EXPECT_EQ(JoinKernel::kScalar, kernels[0]);
   EXPECT_EQ(JoinKernel::kGallop, kernels[1]);
   for (JoinKernel k : kernels) EXPECT_TRUE(JoinKernelSupported(k));
-}
-
-TEST(JoinKernelTest, IntersectSortedMatchesStdSetIntersection) {
-  std::mt19937 rng(31337);
-  for (int iter = 0; iter < 200; ++iter) {
-    auto make = [&](size_t n, uint32_t universe) {
-      std::set<uint32_t> s;
-      while (s.size() < n) s.insert(rng() % universe);
-      return std::vector<uint32_t>(s.begin(), s.end());
-    };
-    // Skewed sizes half the time to exercise the gallop path.
-    size_t n1 = 1 + rng() % 30;
-    size_t n2 = iter % 2 == 0 ? 1 + rng() % 30 : 1 + rng() % 600;
-    std::vector<uint32_t> a = make(n1, 200), b = make(n2, 1000);
-    std::vector<uint32_t> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    for (JoinKernel k : {JoinKernel::kAuto, JoinKernel::kScalar,
-                         JoinKernel::kGallop}) {
-      EXPECT_EQ(expected, IntersectSorted(a, b, k)) << JoinKernelName(k);
-      EXPECT_EQ(expected, IntersectSorted(b, a, k)) << JoinKernelName(k);
-    }
-  }
-  EXPECT_TRUE(IntersectSorted({}, {}).empty());
 }
 
 TEST(JoinKernelTest, CoverMirrorsStayCoherentUnderMutation) {
