@@ -226,6 +226,29 @@ TEST(BuildIndexTest, ParallelBuildMatchesSerial) {
   }
 }
 
+// Golden indexes: the partitioned DBLP build at 300 docs (seed 42,
+// 50,000-connection partitions), pinned by entry count + FNV-1a over every
+// label (testing::Fingerprint). Recorded from the pairwise shortest-path-
+// test center graphs; a faster cover build must reproduce them bit for
+// bit. Regenerate only for an intended cover change:
+//   ./build/tests/build_index_test --gtest_filter='BuildIndexGolden.*'
+// and copy the actual values from the failure messages.
+TEST(BuildIndexGolden, DblpCoversMatchRecordedFingerprints) {
+  Collection c = testing::SmallDblp(300, 42);
+  for (bool with_distance : {false, true}) {
+    IndexBuildOptions options;
+    options.partition.max_connections = 50'000;
+    options.with_distance = with_distance;
+    auto index = BuildIndex(&c, options);
+    ASSERT_TRUE(index.ok()) << index.status();
+    const testing::CoverFingerprint expected =
+        with_distance ? testing::CoverFingerprint{37482u, 0x9b54a614d34e851eULL}
+                      : testing::CoverFingerprint{37314u, 0xb37ea0cc93b0081dULL};
+    EXPECT_EQ(testing::Fingerprint(index->cover()), expected)
+        << (with_distance ? "distance" : "plain");
+  }
+}
+
 TEST(BuildIndexTest, RebuildAdvisorTracksDegradation) {
   Collection c = testing::SmallDblp(30, 306);
   auto built = BuildIndex(&c);

@@ -3,6 +3,9 @@
 // distance mode) metric-exact — checked by the exhaustive validator.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/closure.h"
 #include "test_util.h"
 #include "twohop/builder.h"
@@ -347,6 +350,90 @@ INSTANTIATE_TEST_SUITE_P(PlainAndDistance, CoverBuilderParallelParity,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Distance" : "Plain";
                          });
+
+// ---- Golden covers ----
+// The build is a pure function of (graph, options), so a fingerprint
+// (entry count + FNV-1a over every Lin/Lout label, see
+// testing::Fingerprint) pins the exact cover. These were recorded from the
+// pairwise shortest-path-test center graphs; any faster build must still
+// reproduce them bit for bit, for every thread count. Regenerate only for
+// an intended cover change:
+//   ./build/tests/builder_test --gtest_filter='CoverBuilderGolden.*'
+// and copy the actual values from the failure messages.
+
+/// w x h grid, edges right and down: every pair has many equal-length
+/// shortest paths, so the shortest-path test ties often.
+Digraph Grid(NodeId w, NodeId h) {
+  Digraph g(static_cast<size_t>(w) * h);
+  for (NodeId r = 0; r < h; ++r) {
+    for (NodeId c = 0; c < w; ++c) {
+      NodeId v = r * w + c;
+      if (c + 1 < w) g.AddEdge(v, v + 1);
+      if (r + 1 < h) g.AddEdge(v, v + w);
+    }
+  }
+  return g;
+}
+
+/// Adds a self-loop on every `stride`-th node.
+Digraph WithSelfLoops(Digraph g, NodeId stride) {
+  for (NodeId v = 0; v < g.NumNodes(); v += stride) g.AddEdge(v, v);
+  return g;
+}
+
+struct GoldenCase {
+  std::string name;
+  Digraph graph;
+  bool with_distance;
+  std::vector<NodeId> preselect;
+  testing::CoverFingerprint expected;
+};
+
+TEST(CoverBuilderGolden, CoversMatchRecordedFingerprints) {
+  const std::vector<GoldenCase> cases = {
+      {"dag80_s31", testing::RandomDag(80, 2.5, 31), true, {},
+       {339u, 0xfc8eacf19841420bULL}},
+      {"dag80_s32", testing::RandomDag(80, 4.0, 32), true, {},
+       {554u, 0x71c6b2c6bb9708bULL}},
+      {"dag400_s38", testing::RandomDag(400, 3.0, 38), true, {},
+       {4131u, 0x7fa04fe34bd4fbbaULL}},
+      {"dag150_s33", testing::RandomDag(150, 2.0, 33), true, {},
+       {635u, 0x9d39abd191bfd5a9ULL}},
+      {"dag60_s37_preselect", testing::RandomDag(60, 3.0, 37), true,
+       {3, 11, 29}, {269u, 0xe67704d2f543c320ULL}},
+      {"cyclic50_s34_loops",
+       WithSelfLoops(testing::RandomDigraph(50, 150, 34), 7), true, {},
+       {540u, 0xfcd76b54fdd47617ULL}},
+      {"cyclic60_s35_loops",
+       WithSelfLoops(testing::RandomDigraph(60, 120, 35), 5), true, {},
+       {423u, 0xdf94bdaadb6343cdULL}},
+      {"cyclic40_s36", testing::RandomDigraph(40, 200, 36), true, {},
+       {490u, 0x169fb528c022a8f5ULL}},
+      {"cyclic200_s39_loops",
+       WithSelfLoops(testing::RandomDigraph(200, 320, 39), 11), true, {},
+       {1713u, 0x5503ee0746fe2598ULL}},
+      {"grid9x7", Grid(9, 7), true, {}, {294u, 0x74bdf9bf412d70a3ULL}},
+      {"grid9x7_plain", Grid(9, 7), false, {},
+       {294u, 0x9d2f19cbc892736ULL}},
+      {"dag80_s31_plain", testing::RandomDag(80, 2.5, 31), false, {},
+       {237u, 0xaa949db09b2f69b7ULL}},
+      {"cyclic50_s34_loops_plain",
+       WithSelfLoops(testing::RandomDigraph(50, 150, 34), 7), false, {},
+       {91u, 0x30ad3dc2aad681d4ULL}},
+  };
+  for (const GoldenCase& c : cases) {
+    for (size_t threads : {1u, 3u}) {
+      CoverBuildOptions options;
+      options.with_distance = c.with_distance;
+      options.preselect_centers = c.preselect;
+      options.num_threads = threads;
+      auto cover = BuildCover(c.graph, options);
+      ASSERT_TRUE(cover.ok()) << c.name;
+      EXPECT_EQ(testing::Fingerprint(*cover), c.expected)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
 
 TEST(CoverBuilderTest, DistanceModeRequiresDistanceClosure) {
   Digraph g(2);

@@ -7,12 +7,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "collection/collection.h"
 #include "datagen/dblp.h"
 #include "graph/digraph.h"
+#include "twohop/cover.h"
 #include "util/rng.h"
 
 namespace hopi::testing {
@@ -102,6 +104,46 @@ inline collection::Collection SmallDblp(size_t docs = 60, uint64_t seed = 7) {
   auto report = datagen::GenerateDblpCollection(config, &c);
   EXPECT_TRUE(report.ok()) << report.status();
   return c;
+}
+
+/// Entry count plus a 64-bit FNV-1a hash over every node's Lin then Lout
+/// label (size, then each (center, dist) as little-endian uint32s).
+/// Golden tests pin a cover bit for bit with it.
+struct CoverFingerprint {
+  uint64_t entries = 0;
+  uint64_t hash = 0;
+
+  friend bool operator==(const CoverFingerprint& a,
+                         const CoverFingerprint& b) {
+    return a.entries == b.entries && a.hash == b.hash;
+  }
+  friend std::ostream& operator<<(std::ostream& os,
+                                  const CoverFingerprint& f) {
+    return os << "{" << f.entries << "u, 0x" << std::hex << f.hash
+              << std::dec << "ULL}";
+  }
+};
+
+inline CoverFingerprint Fingerprint(const twohop::TwoHopCover& cover) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_label = [&mix](const std::vector<twohop::LabelEntry>& label) {
+    mix(static_cast<uint32_t>(label.size()));
+    for (const twohop::LabelEntry& e : label) {
+      mix(e.center);
+      mix(e.dist);
+    }
+  };
+  for (NodeId v = 0; v < cover.NumNodes(); ++v) {
+    mix_label(cover.In(v));
+    mix_label(cover.Out(v));
+  }
+  return {cover.Size(), h};
 }
 
 /// Whole file as bytes; fails the calling test on IO errors.
