@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,20 @@ class BenchReport {
   }
   void Add(const std::string& key, const std::string& value) {
     fields_.emplace_back(key, "\"" + Escaped(value) + "\"");
+  }
+
+  /// Records what the numbers were measured with: build type, compiler
+  /// and the machine's hardware thread count.
+  void AddBuildInfo() {
+#ifdef HOPI_BUILD_TYPE
+    Add("build_type", std::string(HOPI_BUILD_TYPE));
+#endif
+#if defined(__clang__)
+    Add("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+    Add("compiler", std::string("gcc ") + __VERSION__);
+#endif
+    Add("nproc", static_cast<uint64_t>(std::thread::hardware_concurrency()));
   }
 
   /// Writes BENCH_<name>.json; reports (but tolerates) IO failure on

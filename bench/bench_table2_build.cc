@@ -10,6 +10,7 @@
 //               cap = x * 10^5 closure connections at paper scale, scaled
 //               to the measured closure size
 // Compression = closure connections / cover entries, as in the paper.
+// Writes BENCH_table2_build.json.
 #include <iostream>
 
 #include "bench_common.h"
@@ -130,11 +131,26 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
+  BenchReport report("table2_build");
+  report.AddBuildInfo();
+  report.Add("docs", static_cast<uint64_t>(docs));
+  report.Add("seed", seed);
+  report.Add("fast", static_cast<uint64_t>(fast ? 1 : 0));
+  report.Add("elements", static_cast<uint64_t>(c.NumElements()));
+  report.Add("closure_connections", closure);
+  for (const RowResult& r : rows) {
+    report.Add(r.name + "_build_s", r.seconds);
+    report.Add(r.name + "_join_s", r.join_seconds);
+    report.Add(r.name + "_entries", r.entries);
+    report.Add(r.name + "_compression", Compression(closure, r.entries));
+  }
+
   std::cout << "\nPaper (Table 2, DBLP 6,210 docs): baseline 11,400s / "
                "15,976,677 entries / 21.6x; best new runs (P5/P10/N10) cut "
                "build time ~10-15x and size ~40%.\n"
             << "Shape check: 'baseline' must be slowest with the largest "
                "cover; Px/Nx rows should beat it on both axes; very large "
                "caps (P50/N100) should drift back up in size.\n";
+  report.Write();
   return 0;
 }

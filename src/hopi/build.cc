@@ -115,8 +115,9 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   // translated into the unified cover serially. The budget is split:
   // `outer` pool workers across partitions, the remainder as
   // intra-partition threads inside the largest covers (see
-  // SplitThreadBudget), so one fat partition no longer caps the phase at
-  // single-thread speed.
+  // SplitThreadBudget). There is a remainder only when there are fewer
+  // partitions than threads; otherwise one fat partition still runs on
+  // one thread and caps the phase.
   watch.Restart();
   const size_t num_partitions = partitioning->NumPartitions();
   std::vector<Result<twohop::TwoHopCover>> covers(

@@ -43,8 +43,10 @@ struct IndexBuildOptions {
   /// Sec 4.1) and run over a shared pool; when there are fewer
   /// partitions than threads, the leftover budget moves *inside* the
   /// largest partitions' cover builds (speculative candidate
-  /// evaluation, see twohop::CoverBuildOptions::num_threads), so the
-  /// fattest partition no longer caps the phase at single-thread speed.
+  /// evaluation, see twohop::CoverBuildOptions::num_threads). With at
+  /// least as many partitions as threads every partition gets one
+  /// thread, so a partition holding most connections still caps the
+  /// phase at single-thread speed.
   /// In `global` mode the whole budget goes to the one cover build.
   /// The built index is identical for every value.
   size_t num_threads = 1;

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <memory>
 #include <queue>
+#include <ranges>
 #include <utility>
 
 #include "graph/bitset.h"
-#include "graph/traversal.h"
 #include "twohop/center_graph.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -21,6 +21,7 @@ namespace {
 /// The set T' of not-yet-covered connections, as per-source bitset rows.
 class UncoveredSet {
  public:
+  /// Plain mode: the closure's descendant rows.
   explicit UncoveredSet(const TransitiveClosure& tc) {
     rows_.reserve(tc.NumNodes());
     for (NodeId u = 0; u < tc.NumNodes(); ++u) {
@@ -29,8 +30,18 @@ class UncoveredSet {
     }
   }
 
+  /// Distance mode: the same connection set, read off the distance rows.
+  explicit UncoveredSet(const DistanceClosure& dc) {
+    const size_t n = dc.NumNodes();
+    rows_.reserve(n);
+    for (NodeId u = 0; u < n; ++u) {
+      DynamicBitset& row = rows_.emplace_back(n);
+      for (const DistConnection& c : dc.Row(u)) row.Set(c.node);
+      count_ += dc.Row(u).size();
+    }
+  }
+
   uint64_t count() const { return count_; }
-  bool Test(NodeId u, NodeId v) const { return rows_[u].Test(v); }
 
   void Remove(NodeId u, NodeId v) {
     if (rows_[u].Clear(v)) --count_;
@@ -51,29 +62,6 @@ class UncoveredSet {
   uint64_t count_ = 0;
 };
 
-/// Shortest-path test: may w be the center for (u, v)? (Sec 5.2.)
-/// In plain mode the answer is always yes for connected triples.
-class CenterEligibility {
- public:
-  CenterEligibility(const DistanceClosure* dc, bool with_distance)
-      : dc_(dc), with_distance_(with_distance) {}
-
-  /// Precondition: u ->* w ->* v all hold (w fixed by the caller; only
-  /// its distances matter here).
-  bool Eligible(NodeId u, NodeId w, NodeId v, uint32_t dist_uw,
-                uint32_t dist_wv) const {
-    (void)w;
-    if (!with_distance_) return true;
-    auto duv = dc_->Dist(u, v);
-    assert(duv.has_value());
-    return *duv == dist_uw + dist_wv;
-  }
-
- private:
-  const DistanceClosure* dc_;
-  bool with_distance_;
-};
-
 /// One side of a candidate's center graph: node ids plus distances to/from
 /// the center (distances stay 0 in plain mode).
 struct Side {
@@ -82,95 +70,161 @@ struct Side {
 };
 
 /// Builds the ancestor side (Anc(w) + w) and descendant side (Desc(w) + w)
-/// of w's center graph.
-void BuildSides(const TransitiveClosure& tc, const DistanceClosure* dc,
-                bool with_distance, NodeId w, Side* in_side, Side* out_side) {
+/// of w's center graph, from the distance rows when `dc` is set and from
+/// the closure rows otherwise. Both sides are ascending in node id with w
+/// appended last.
+void BuildSides(const TransitiveClosure* tc, const DistanceClosure* dc,
+                NodeId w, Side* in_side, Side* out_side) {
   in_side->nodes.clear();
   in_side->dists.clear();
   out_side->nodes.clear();
   out_side->dists.clear();
-  if (with_distance) {
+  if (dc != nullptr) {
     for (const DistConnection& c : dc->ReverseRow(w)) {
       in_side->nodes.push_back(c.node);
       in_side->dists.push_back(c.dist);
     }
-    in_side->nodes.push_back(w);
-    in_side->dists.push_back(0);
     for (const DistConnection& c : dc->Row(w)) {
       out_side->nodes.push_back(c.node);
       out_side->dists.push_back(c.dist);
     }
-    out_side->nodes.push_back(w);
-    out_side->dists.push_back(0);
   } else {
-    tc.AncestorsRow(w).ForEach([&](size_t u) {
+    tc->AncestorsRow(w).ForEach([&](size_t u) {
       in_side->nodes.push_back(static_cast<NodeId>(u));
       in_side->dists.push_back(0);
     });
-    in_side->nodes.push_back(w);
-    in_side->dists.push_back(0);
-    tc.DescendantsRow(w).ForEach([&](size_t v) {
+    tc->DescendantsRow(w).ForEach([&](size_t v) {
       out_side->nodes.push_back(static_cast<NodeId>(v));
       out_side->dists.push_back(0);
     });
-    out_side->nodes.push_back(w);
-    out_side->dists.push_back(0);
   }
+  in_side->nodes.push_back(w);
+  in_side->dists.push_back(0);
+  out_side->nodes.push_back(w);
+  out_side->dists.push_back(0);
 }
 
-/// Constructs center graphs restricted to uncovered pairs. Holds scratch
-/// buffers (an out-side index map and mask) so the hot loop is allocation
-/// free and, in plain mode, word-parallel over the uncovered bitset rows.
+/// Finds the uncovered pairs of a center graph by survivor walks: each
+/// ancestor's uncovered bitset row is ANDed with a mask of out-side nodes,
+/// word-parallel, and only the surviving bits are looked at. In distance
+/// mode (`dc` set) a surviving (u, v) is an edge iff w lies on a shortest
+/// u -> v path (Sec 5.2), dist(u,v) == dist(u,w) + dist(w,v); dist(u,v)
+/// comes from one cursor that advances through the sorted Row(u) as the
+/// survivors ascend, so no pair pays a search. Holds per-worker scratch
+/// (out-side index map and mask, covered-pair buffer) so the hot loop is
+/// allocation free.
 class CenterGraphBuilder {
  public:
   explicit CenterGraphBuilder(size_t num_nodes)
       : out_index_(num_nodes, UINT32_MAX), out_mask_(num_nodes) {}
 
-  BipartiteGraph Build(const UncoveredSet& uncovered,
-                       const CenterEligibility& elig, bool with_distance,
-                       NodeId w, const Side& in_side, const Side& out_side) {
-    BipartiteGraph cg(static_cast<uint32_t>(in_side.nodes.size()),
-                      static_cast<uint32_t>(out_side.nodes.size()));
-    if (with_distance) {
-      // Pairwise: every candidate pair needs the shortest-path test.
-      for (uint32_t i = 0; i < in_side.nodes.size(); ++i) {
-        NodeId u = in_side.nodes[i];
-        const DynamicBitset& row = uncovered.Row(u);
-        for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-          NodeId v = out_side.nodes[j];
-          if (u == v || !row.Test(v)) continue;
-          if (!elig.Eligible(u, w, v, in_side.dists[i], out_side.dists[j])) {
-            continue;
-          }
-          cg.AddEdge(i, j);
-        }
-      }
-      return cg;
-    }
-    // Plain mode: intersect each ancestor's uncovered row with the
-    // out-side mask; every surviving bit is an edge.
-    for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-      out_index_[out_side.nodes[j]] = j;
-      out_mask_.Set(out_side.nodes[j]);
-    }
+  /// Fills `cg` with w's center graph restricted to uncovered pairs.
+  /// Adjacency order is part of the bit-identity contract (the densest-
+  /// subgraph peeling breaks degree ties by it): in-vertices ascend, and
+  /// each in-vertex's out-vertices ascend by node id — except that in
+  /// distance mode w's own column comes last.
+  void Build(const UncoveredSet& uncovered, const DistanceClosure* dc,
+             const Side& in_side, const Side& out_side, BipartiteGraph* cg) {
+    cg->Reset(static_cast<uint32_t>(in_side.nodes.size()),
+              static_cast<uint32_t>(out_side.nodes.size()));
+    MarkColumns(dc, out_side, std::views::iota(0u, cg->NumOut()));
     for (uint32_t i = 0; i < in_side.nodes.size(); ++i) {
+      ForEachSurvivor(uncovered, dc, in_side, out_side, i,
+                      [&](uint32_t j) { cg->AddEdge(i, j); });
+    }
+    UnmarkColumns(out_side);
+  }
+
+  /// Removes the uncovered pairs that choosing w with these in/out
+  /// vertices covers: every (u, v) over in_chosen x out_chosen in plain
+  /// mode, only those with w on a shortest path in distance mode.
+  /// Returns the number of pairs removed.
+  uint64_t Cover(const DistanceClosure* dc, const Side& in_side,
+                 const Side& out_side, const std::vector<uint32_t>& in_chosen,
+                 const std::vector<uint32_t>& out_chosen,
+                 UncoveredSet* uncovered) {
+    MarkColumns(dc, out_side, out_chosen);
+    uint64_t covered = 0;
+    for (uint32_t i : in_chosen) {
       NodeId u = in_side.nodes[i];
-      uncovered.Row(u).ForEachIntersection(out_mask_, [&](size_t v) {
-        if (static_cast<NodeId>(v) != u) {
-          cg.AddEdge(i, out_index_[v]);
-        }
+      if (dc == nullptr) {
+        covered += uncovered->RemoveRowSubset(u, out_mask_);
+        continue;
+      }
+      covered_targets_.clear();
+      ForEachSurvivor(*uncovered, dc, in_side, out_side, i, [&](uint32_t j) {
+        covered_targets_.push_back(out_side.nodes[j]);
       });
+      for (NodeId v : covered_targets_) uncovered->Remove(u, v);
+      covered += covered_targets_.size();
     }
-    for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-      out_index_[out_side.nodes[j]] = UINT32_MAX;
-      out_mask_.Clear(out_side.nodes[j]);
-    }
-    return cg;
+    UnmarkColumns(out_side);
+    return covered;
   }
 
  private:
+  /// Puts the out-side columns `columns` into the mask. In distance mode
+  /// w (the last column) stays out of the mask and is tested on its own
+  /// after each walk (w_selected_), which keeps it last.
+  template <typename Columns>
+  void MarkColumns(const DistanceClosure* dc, const Side& out_side,
+                   const Columns& columns) {
+    const uint32_t w_col = static_cast<uint32_t>(out_side.nodes.size()) - 1;
+    w_selected_ = false;
+    for (uint32_t j : columns) {
+      if (dc != nullptr && j == w_col) {
+        w_selected_ = true;
+        continue;
+      }
+      out_index_[out_side.nodes[j]] = j;
+      out_mask_.Set(out_side.nodes[j]);
+    }
+  }
+
+  void UnmarkColumns(const Side& out_side) {
+    for (NodeId v : out_side.nodes) {
+      out_index_[v] = UINT32_MAX;
+      out_mask_.Clear(v);
+    }
+  }
+
+  /// Calls fn(j) for every marked out-side column j whose pair
+  /// (in_side[i], out_side[j]) is uncovered and, in distance mode, has w
+  /// on a shortest path.
+  template <typename Fn>
+  void ForEachSurvivor(const UncoveredSet& uncovered, const DistanceClosure* dc,
+                       const Side& in_side, const Side& out_side, uint32_t i,
+                       Fn&& fn) const {
+    const NodeId u = in_side.nodes[i];
+    const DynamicBitset& row = uncovered.Row(u);
+    if (dc == nullptr) {
+      row.ForEachIntersection(out_mask_, [&](size_t v) {
+        if (static_cast<NodeId>(v) != u) fn(out_index_[v]);
+      });
+      return;
+    }
+    // Every uncovered (u, v) is a connection, so v is in Row(u) and the
+    // cursor stops on it.
+    const std::vector<DistConnection>& dist_row = dc->Row(u);
+    const uint32_t dist_uw = in_side.dists[i];
+    size_t cursor = 0;
+    row.ForEachIntersection(out_mask_, [&](size_t v) {
+      while (dist_row[cursor].node < v) ++cursor;
+      assert(cursor < dist_row.size() && dist_row[cursor].node == v);
+      uint32_t j = out_index_[v];
+      if (dist_row[cursor].dist == dist_uw + out_side.dists[j]) fn(j);
+    });
+    // (u, w) lies on its own shortest path: dist(u,w) + dist(w,w).
+    const NodeId w = out_side.nodes.back();
+    if (w_selected_ && row.Test(w)) {
+      fn(static_cast<uint32_t>(out_side.nodes.size()) - 1);
+    }
+  }
+
   std::vector<uint32_t> out_index_;
   DynamicBitset out_mask_;
+  bool w_selected_ = false;
+  std::vector<NodeId> covered_targets_;
 };
 
 /// Priority-queue entry for the lazy candidate queue. The comparison is a
@@ -234,53 +288,17 @@ double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
   return std::sqrt(est_edges) / 2.0;
 }
 
-/// Applies center w with chosen sides: adds labels and removes covered
-/// pairs. Returns the number of pairs covered.
-uint64_t ApplyCenter(NodeId w, const Side& in_side, const Side& out_side,
-                     const std::vector<uint32_t>& in_chosen,
-                     const std::vector<uint32_t>& out_chosen,
-                     const CenterEligibility& elig, bool with_distance,
-                     UncoveredSet* uncovered, TwoHopCover* cover) {
-  for (uint32_t i : in_chosen) {
-    cover->AddOut(in_side.nodes[i], w, in_side.dists[i]);
-  }
-  for (uint32_t j : out_chosen) {
-    cover->AddIn(out_side.nodes[j], w, out_side.dists[j]);
-  }
-
-  uint64_t covered = 0;
-  if (!with_distance) {
-    DynamicBitset out_mask;
-    for (uint32_t j : out_chosen) out_mask.Set(out_side.nodes[j]);
-    for (uint32_t i : in_chosen) {
-      covered += uncovered->RemoveRowSubset(in_side.nodes[i], out_mask);
-    }
-  } else {
-    for (uint32_t i : in_chosen) {
-      NodeId u = in_side.nodes[i];
-      for (uint32_t j : out_chosen) {
-        NodeId v = out_side.nodes[j];
-        if (u == v || !uncovered->Test(u, v)) continue;
-        if (!elig.Eligible(u, w, v, in_side.dists[i], out_side.dists[j])) {
-          continue;
-        }
-        uncovered->Remove(u, v);
-        ++covered;
-      }
-    }
-  }
-  return covered;
-}
-
-/// Per-worker scratch for candidate evaluation: sides and the
-/// center-graph builder's index map/mask are reused across evaluations so
-/// the hot loop stays allocation-light, and owning one per worker makes
-/// the speculation stage share nothing but read-only state.
+/// Per-worker scratch for candidate evaluation: sides, the center-graph
+/// builder's index map/mask and the CSR center graph itself are reused
+/// across evaluations so the hot loop stays allocation-light, and owning
+/// one per worker makes the speculation stage share nothing but
+/// read-only state.
 struct EvalScratch {
   explicit EvalScratch(size_t num_nodes) : cg_builder(num_nodes) {}
   Side in_side;
   Side out_side;
   CenterGraphBuilder cg_builder;
+  BipartiteGraph cg;
 };
 
 /// A candidate's densest-subgraph evaluation, stamped with the version of
@@ -294,19 +312,22 @@ struct CachedEval {
 
 /// The staged cover-construction pipeline (see builder.h for the stage
 /// overview and the determinism argument). One instance per build; the
-/// pool (if any) lives as long as the pipeline.
+/// pool (if any) lives as long as the pipeline. Exactly one closure is
+/// given: the bitset closure `tc` in plain mode, the distance rows `dc`
+/// in distance mode (which then read nothing else).
 class CoverBuildPipeline {
  public:
-  CoverBuildPipeline(const TransitiveClosure& tc, const DistanceClosure* dc,
+  CoverBuildPipeline(const TransitiveClosure* tc, const DistanceClosure* dc,
                      const CoverBuildOptions& options, CoverBuildStats* stats)
       : tc_(tc),
         dc_(dc),
         options_(options),
         stats_(stats),
-        n_(tc.NumNodes()),
+        n_(dc != nullptr ? dc->NumNodes() : tc->NumNodes()),
         cover_(n_),
-        uncovered_(tc),
-        elig_(dc, options.with_distance) {
+        uncovered_(dc != nullptr ? UncoveredSet(*dc) : UncoveredSet(*tc)) {
+    assert((tc == nullptr) != (dc == nullptr));
+    assert(options.with_distance == (dc != nullptr));
     if (options_.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     }
@@ -332,14 +353,12 @@ class CoverBuildPipeline {
     for (NodeId w : options_.preselect_centers) {
       if (uncovered_.count() == 0) break;
       assert(w < n_);
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
       // Use only nodes that still have an uncovered pair through w — the
       // point of preselection is fewer redundant entries, not more.
       std::vector<uint32_t> in_chosen, out_chosen;
-      BipartiteGraph cg =
-          s.cg_builder.Build(uncovered_, elig_, options_.with_distance, w,
-                             s.in_side, s.out_side);
+      s.cg_builder.Build(uncovered_, dc_, s.in_side, s.out_side, &s.cg);
+      const BipartiteGraph& cg = s.cg;
       for (uint32_t i = 0; i < cg.NumIn(); ++i) {
         if (!cg.InAdj(i).empty()) in_chosen.push_back(i);
       }
@@ -347,10 +366,24 @@ class CoverBuildPipeline {
         if (!cg.OutAdj(j).empty()) out_chosen.push_back(j);
       }
       if (in_chosen.empty()) continue;
-      stats_->preselect_covered +=
-          ApplyCenter(w, s.in_side, s.out_side, in_chosen, out_chosen, elig_,
-                      options_.with_distance, &uncovered_, &cover_);
+      stats_->preselect_covered += ApplyCenter(w, s, in_chosen, out_chosen);
     }
+  }
+
+  /// Applies center w with the chosen sides (indices into the sides in
+  /// `s`): adds labels and removes the covered pairs. Returns the number
+  /// of pairs covered.
+  uint64_t ApplyCenter(NodeId w, EvalScratch& s,
+                       const std::vector<uint32_t>& in_chosen,
+                       const std::vector<uint32_t>& out_chosen) {
+    for (uint32_t i : in_chosen) {
+      cover_.AddOut(s.in_side.nodes[i], w, s.in_side.dists[i]);
+    }
+    for (uint32_t j : out_chosen) {
+      cover_.AddIn(s.out_side.nodes[j], w, s.out_side.dists[j]);
+    }
+    return s.cg_builder.Cover(dc_, s.in_side, s.out_side, in_chosen,
+                              out_chosen, &uncovered_);
   }
 
   // --- Stage 1: parallel priority seeding ---
@@ -368,8 +401,8 @@ class CoverBuildPipeline {
             options_.density_confidence, &node_rng);
       } else {
         priorities[w] = PlainInitialPriority(
-            tc_.AncestorsRow(static_cast<NodeId>(w)).Count(),
-            tc_.DescendantsRow(static_cast<NodeId>(w)).Count());
+            tc_->AncestorsRow(static_cast<NodeId>(w)).Count(),
+            tc_->DescendantsRow(static_cast<NodeId>(w)).Count());
       }
       return Status::OK();
     };
@@ -424,12 +457,8 @@ class CoverBuildPipeline {
       // rebuilt (pure in w, O(|Anc|+|Desc|)) rather than cached — the
       // chosen vertex indices refer to their deterministic order.
       EvalScratch& s = scratch_[0];
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
-      uint64_t covered =
-          ApplyCenter(w, s.in_side, s.out_side, ds.in_vertices,
-                      ds.out_vertices, elig_, options_.with_distance,
-                      &uncovered_, &cover_);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
+      uint64_t covered = ApplyCenter(w, s, ds.in_vertices, ds.out_vertices);
       assert(covered > 0);
       (void)covered;
       ++stats_->centers_chosen;
@@ -484,13 +513,10 @@ class CoverBuildPipeline {
     auto eval_one = [&](size_t idx, size_t worker) {
       NodeId w = eval_nodes_[idx];
       EvalScratch& s = scratch_[worker];
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
-      BipartiteGraph cg =
-          s.cg_builder.Build(uncovered_, elig_, options_.with_distance, w,
-                             s.in_side, s.out_side);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
+      s.cg_builder.Build(uncovered_, dc_, s.in_side, s.out_side, &s.cg);
       CachedEval& e = cache_[w];
-      e.ds = ApproxDensestSubgraph(cg);
+      e.ds = ApproxDensestSubgraph(s.cg);
       e.version = version_;
       e.consumed = false;
       return Status::OK();
@@ -511,15 +537,14 @@ class CoverBuildPipeline {
     return status;
   }
 
-  const TransitiveClosure& tc_;
-  const DistanceClosure* dc_;
+  const TransitiveClosure* tc_;  // plain mode only
+  const DistanceClosure* dc_;    // distance mode only
   const CoverBuildOptions& options_;
   CoverBuildStats* stats_;
   const size_t n_;
 
   TwoHopCover cover_;
   UncoveredSet uncovered_;
-  CenterEligibility elig_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<EvalScratch> scratch_;
   size_t batch_limit_ = 1;
@@ -535,30 +560,18 @@ class CoverBuildPipeline {
 
 }  // namespace
 
-Result<TwoHopCover> BuildCoverFromClosure(const TransitiveClosure& tc,
-                                          const DistanceClosure* dc,
-                                          const CoverBuildOptions& options,
-                                          CoverBuildStats* stats) {
-  if (options.with_distance && dc == nullptr) {
-    return Status::InvalidArgument(
-        "distance-aware build requires a DistanceClosure");
-  }
-  CoverBuildStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  CoverBuildPipeline pipeline(tc, dc, options, stats);
-  return pipeline.Run();
-}
-
 Result<TwoHopCover> BuildCover(const Digraph& g,
                                const CoverBuildOptions& options,
                                CoverBuildStats* stats) {
-  auto tc = TransitiveClosure::Build(g);
-  if (!tc.ok()) return tc.status();
+  CoverBuildStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
   if (options.with_distance) {
     DistanceClosure dc = DistanceClosure::Build(g);
-    return BuildCoverFromClosure(*tc, &dc, options, stats);
+    return CoverBuildPipeline(nullptr, &dc, options, stats).Run();
   }
-  return BuildCoverFromClosure(*tc, nullptr, options, stats);
+  auto tc = TransitiveClosure::Build(g);
+  if (!tc.ok()) return tc.status();
+  return CoverBuildPipeline(&*tc, nullptr, options, stats).Run();
 }
 
 Status ValidateCover(const TwoHopCover& cover, const Digraph& g,

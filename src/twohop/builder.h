@@ -14,6 +14,20 @@
 // (2) with the sampled edge-count estimate (<= 13,600 samples, 98% CI
 // upper bound, priority sqrt(E)/2).
 //
+// Inputs. Plain mode reads the bitset TransitiveClosure. Distance mode
+// reads only the DistanceClosure: its sorted rows seed the uncovered set
+// and give both center-graph sides and every dist(u, v); no bitset
+// closure is built.
+//
+// Center graphs are found by survivor walks. Each ancestor u's uncovered
+// bitset row is ANDed word-parallel with a mask of w's descendant side,
+// and only the surviving v are visited, ascending. In distance mode one
+// cursor advances through the sorted DistanceClosure::Row(u) alongside
+// them to read dist(u,v) for the shortest-path test, so no pair pays a
+// search; applying a center removes covered pairs by the same walk. The
+// graph itself is a CSR BipartiteGraph kept in per-worker scratch and
+// refilled for every evaluation.
+//
 // Center preselection (Sec 4.2) seeds the cover with a caller-provided
 // list of centers (HOPI passes cross-partition link targets) before the
 // greedy loop starts.
@@ -37,6 +51,15 @@
 // evaluation is a pure function of (node, uncovered set). The produced
 // cover is therefore bit-identical for every thread count and batch
 // size; only the wasted-speculation counters vary.
+//
+// Bit-identity contract. The cover is a function of (graph, options)
+// alone, and a faster build must reproduce it exactly. That includes
+// each center graph's adjacency order, because the densest-subgraph
+// peeling breaks degree ties by it: in-vertices ascend, each in-vertex's
+// out-vertices ascend by node id, and in distance mode w's own column
+// comes last. Golden fingerprints (entry count + FNV-1a over all labels)
+// pin the contract: CoverBuilderGolden in builder_test and
+// BuildIndexGolden in build_index_test.
 #pragma once
 
 #include <cstddef>
@@ -98,17 +121,11 @@ struct CoverBuildStats {
 };
 
 /// Builds a 2-hop cover for all connections of `g`. Computes the closure
-/// internally (and the distance closure in distance mode).
+/// it needs internally: the bitset TransitiveClosure in plain mode, only
+/// the DistanceClosure in distance mode.
 Result<TwoHopCover> BuildCover(const Digraph& g,
                                const CoverBuildOptions& options = {},
                                CoverBuildStats* stats = nullptr);
-
-/// As above but with a precomputed closure (callers that already paid for
-/// it, e.g. the partitioner). `dc` is required iff options.with_distance.
-Result<TwoHopCover> BuildCoverFromClosure(const TransitiveClosure& tc,
-                                          const DistanceClosure* dc,
-                                          const CoverBuildOptions& options,
-                                          CoverBuildStats* stats = nullptr);
 
 /// Exhaustive cover correctness check against the closure (test oracle):
 /// verifies completeness (every connection covered), soundness (no

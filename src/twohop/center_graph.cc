@@ -5,6 +5,38 @@
 
 namespace hopi::twohop {
 
+void BipartiteGraph::Reset(uint32_t num_in, uint32_t num_out) {
+  num_in_ = num_in;
+  num_out_ = num_out;
+  in_edges_.clear();
+  in_offsets_.assign(num_in + 1, 0);
+  in_started_ = 0;
+  sealed_ = false;
+}
+
+void BipartiteGraph::FillOutSide() const {
+  const size_t num_edges = in_edges_.size();
+  while (in_started_ <= num_in_) in_offsets_[in_started_++] = num_edges;
+  // Offsets: out_offsets_[j + 1] counts out-vertex j, then prefix sums.
+  out_offsets_.assign(num_out_ + 1, 0);
+  for (uint32_t j : in_edges_) ++out_offsets_[j + 1];
+  for (uint32_t j = 0; j < num_out_; ++j) {
+    out_offsets_[j + 1] += out_offsets_[j];
+  }
+  // Scatter in in-vertex order, so each out-vertex's list is ascending.
+  out_edges_.resize(num_edges);
+  for (uint32_t i = 0; i < num_in_; ++i) {
+    for (size_t e = in_offsets_[i]; e < in_offsets_[i + 1]; ++e) {
+      out_edges_[out_offsets_[in_edges_[e]]++] = i;
+    }
+  }
+  // The scatter advanced every offset to its successor's start: shift
+  // them back by one slot.
+  for (uint32_t j = num_out_; j > 0; --j) out_offsets_[j] = out_offsets_[j - 1];
+  out_offsets_[0] = 0;
+  sealed_ = true;
+}
+
 DensestSubgraph ApproxDensestSubgraph(const BipartiteGraph& g) {
   const uint32_t n_in = g.NumIn();
   const uint32_t n_out = g.NumOut();

@@ -237,13 +237,17 @@ TEST(CoverBuilderDistanceTest, LongChainDistances) {
   EXPECT_EQ(*cover->Distance(5, 6), 1u);
 }
 
-TEST(CoverBuilderTest, BuildFromPrecomputedClosure) {
+TEST(CoverBuilderTest, BuildCoverIsTheOneEntryPoint) {
+  // Plain and distance builds both take the graph alone; each computes
+  // the closure it reads.
   Digraph g = testing::RandomDag(30, 2.0, 77);
-  auto tc = TransitiveClosure::Build(g);
-  ASSERT_TRUE(tc.ok());
-  auto cover = BuildCoverFromClosure(*tc, nullptr, {});
-  ASSERT_TRUE(cover.ok());
-  EXPECT_TRUE(ValidateCover(*cover, g).ok());
+  for (bool with_distance : {false, true}) {
+    CoverBuildOptions options;
+    options.with_distance = with_distance;
+    auto cover = BuildCover(g, options);
+    ASSERT_TRUE(cover.ok());
+    EXPECT_TRUE(ValidateCover(*cover, g, with_distance).ok());
+  }
 }
 
 // ---- Parallel build determinism (the snapshot/commit protocol must
@@ -433,17 +437,6 @@ TEST(CoverBuilderGolden, CoversMatchRecordedFingerprints) {
           << c.name << " threads=" << threads;
     }
   }
-}
-
-TEST(CoverBuilderTest, DistanceModeRequiresDistanceClosure) {
-  Digraph g(2);
-  g.AddEdge(0, 1);
-  auto tc = TransitiveClosure::Build(g);
-  ASSERT_TRUE(tc.ok());
-  CoverBuildOptions options;
-  options.with_distance = true;
-  auto cover = BuildCoverFromClosure(*tc, nullptr, options);
-  EXPECT_TRUE(cover.status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "twohop/center_graph.h"
 #include "twohop/cover.h"
 #include "twohop/reverse_index.h"
@@ -217,6 +221,63 @@ TEST(DensestSubgraphTest, TwoApproximationGuarantee) {
     double whole = static_cast<double>(edges) / 16.0;
     EXPECT_GE(ds.density + 1e-12, whole / 2.0);
   }
+}
+
+void ExpectSameDensest(const DensestSubgraph& a, const DensestSubgraph& b) {
+  EXPECT_EQ(a.in_vertices, b.in_vertices);
+  EXPECT_EQ(a.out_vertices, b.out_vertices);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.density, b.density);
+}
+
+TEST(DensestSubgraphTest, ReusedGraphMatchesFreshGraph) {
+  // The cover builder refills one graph per worker via Reset(): a small
+  // graph built after a large one must not see any of the large one's
+  // edges or offsets.
+  Rng rng(7);
+  BipartiteGraph reused(300, 400);
+  for (uint32_t i = 0; i < 300; ++i) {
+    for (uint32_t j = 0; j < 400; ++j) {
+      if (rng.NextBernoulli(0.2)) reused.AddEdge(i, j);
+    }
+  }
+  DensestSubgraph large = ApproxDensestSubgraph(reused);
+  EXPECT_GT(large.edges, 0u);
+
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (uint32_t i = 0; i < 9; ++i) {
+    if (i == 4) continue;  // an edgeless in-vertex mid-graph
+    for (uint32_t j = 0; j < 6; ++j) {
+      if (rng.NextBernoulli(0.4)) edges.emplace_back(i, j);
+    }
+  }
+  reused.Reset(9, 6);
+  BipartiteGraph fresh(9, 6);
+  for (auto [i, j] : edges) {
+    reused.AddEdge(i, j);
+    fresh.AddEdge(i, j);
+  }
+  ASSERT_EQ(reused.NumEdges(), edges.size());
+  for (uint32_t i = 0; i < 9; ++i) {
+    EXPECT_TRUE(std::ranges::equal(reused.InAdj(i), fresh.InAdj(i)));
+  }
+  for (uint32_t j = 0; j < 6; ++j) {
+    EXPECT_TRUE(std::ranges::equal(reused.OutAdj(j), fresh.OutAdj(j)));
+    EXPECT_TRUE(std::ranges::is_sorted(reused.OutAdj(j)));
+  }
+  ExpectSameDensest(ApproxDensestSubgraph(reused),
+                    ApproxDensestSubgraph(fresh));
+}
+
+TEST(DensestSubgraphTest, EdgesMustArriveGroupedByInVertex) {
+  // Debug builds assert the CSR fill order; release builds skip the check.
+  EXPECT_DEBUG_DEATH(
+      {
+        BipartiteGraph g(3, 3);
+        g.AddEdge(1, 0);
+        g.AddEdge(0, 0);
+      },
+      "");
 }
 
 }  // namespace

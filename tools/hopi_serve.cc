@@ -132,11 +132,21 @@ int main(int argc, char** argv) {
     // Distance labels cost a little build time but make
     // "want_distances" batches meaningful; --with_distance=0 opts out.
     build_options.with_distance = with_distance;
-    auto index = BuildIndex(&collection, build_options);
+    IndexBuildStats build_stats;
+    auto index = BuildIndex(&collection, build_options, &build_stats);
     if (!index.ok()) {
       std::cerr << index.status() << "\n";
       return 1;
     }
+    std::cerr << "index built in " << build_stats.total_seconds
+              << " s: partition " << build_stats.partition_seconds
+              << " s, covers " << build_stats.covers_seconds << " s, join "
+              << build_stats.join_seconds << " s; "
+              << build_stats.num_partitions << " partitions, largest "
+              << build_stats.largest_partition_connections << " of "
+              << build_stats.total_partition_connections
+              << " connections; " << build_stats.cover_entries
+              << " cover entries\n";
     auto snapshot = engine::BackendSnapshot::Freeze(*index);
 
     engine::EnginePoolOptions pool_options;
@@ -207,6 +217,9 @@ int main(int argc, char** argv) {
               << "/v1/mutate -d "
               << "'{\"op\":\"insert_link\",\"source\":0,\"target\":7}'\n";
   }
+  // stdout is block-buffered when piped: flush so the banner and every
+  // [stats] line show up as they are printed, not at exit.
+  std::cout << std::flush;
 
   int since_report = 0;
   while (g_stop == 0) {
@@ -223,7 +236,7 @@ int main(int argc, char** argv) {
                   << " direct=" << stats.direct_pairs
                   << " cross=" << stats.cross_pairs
                   << " subbatches=" << stats.subbatches
-                  << " partial=" << stats.partial_batches << "\n";
+                  << " partial=" << stats.partial_batches << std::endl;
         continue;
       }
       engine::PoolStats stats = pool->Stats();
@@ -237,7 +250,7 @@ int main(int argc, char** argv) {
                   << " rebuilds=" << stats.rebuilds
                   << " degradation=" << stats.degradation;
       }
-      std::cout << (stats.shedding ? " SHEDDING" : "") << "\n";
+      std::cout << (stats.shedding ? " SHEDDING" : "") << std::endl;
     }
   }
   std::cout << "\nshutting down...\n";
