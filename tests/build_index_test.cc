@@ -249,6 +249,28 @@ TEST(BuildIndexGolden, DblpCoversMatchRecordedFingerprints) {
   }
 }
 
+// The same collection at the default PartitionOptions (what hopi_serve
+// builds with): 11 partitions, the largest ~718k connections. At that
+// skew most uncovered rows empty out long before the build ends and the
+// descendant sides span few bitset words, so the survivor walks' row
+// skips and word-range clipping actually occur. Regenerate as above.
+TEST(BuildIndexGolden, SkewedDblpCoversMatchRecordedFingerprints) {
+  Collection c = testing::SmallDblp(300, 42);
+  for (bool with_distance : {false, true}) {
+    IndexBuildOptions options;
+    options.with_distance = with_distance;
+    IndexBuildStats stats;
+    auto index = BuildIndex(&c, options, &stats);
+    ASSERT_TRUE(index.ok()) << index.status();
+    EXPECT_EQ(stats.num_partitions, 11u);
+    const testing::CoverFingerprint expected =
+        with_distance ? testing::CoverFingerprint{13019u, 0x3650f9864ab6e7beULL}
+                      : testing::CoverFingerprint{8966u, 0xbd271d14b3696482ULL};
+    EXPECT_EQ(testing::Fingerprint(index->cover()), expected)
+        << (with_distance ? "distance" : "plain");
+  }
+}
+
 TEST(BuildIndexTest, RebuildAdvisorTracksDegradation) {
   Collection c = testing::SmallDblp(30, 306);
   auto built = BuildIndex(&c);
