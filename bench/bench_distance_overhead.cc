@@ -1,7 +1,9 @@
 // Sec 5 claim: "low space overhead for including distance information in
 // the index." Compares plain vs distance-aware builds: cover entries,
-// stored integers (the DIST column adds one integer per row), build time.
-// Writes BENCH_distance_overhead.json.
+// stored integers (the DIST column adds one integer per row), build time,
+// and where the cover builds spent it (closure / priority seeding /
+// greedy loop, summed over partitions). Writes
+// BENCH_distance_overhead.json.
 #include <iostream>
 #include <string>
 #include <utility>
@@ -41,7 +43,8 @@ int main(int argc, char** argv) {
 
   PrintHeader("Sec 5: distance-aware index overhead");
   TablePrinter table({"docs", "partitions", "mode", "time", "covers",
-                      "entries", "stored ints", "entry overhead"});
+                      "closure", "seed", "greedy", "entries", "stored ints",
+                      "entry overhead"});
   BenchReport report("distance_overhead");
   report.AddBuildInfo();
   report.Add("docs", static_cast<uint64_t>(docs));
@@ -62,6 +65,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         double seconds = watch.ElapsedSeconds();
+        const twohop::CoverBuildStats& cb = stats.cover_build;
         uint64_t entries = index->CoverSize();
         std::string overhead_text = "-";
         if (!with_distance) {
@@ -77,6 +81,9 @@ int main(int argc, char** argv) {
         table.AddRow({TablePrinter::FmtCount(d), part_name, mode,
                       TablePrinter::Fmt(seconds, 2) + "s",
                       TablePrinter::Fmt(stats.covers_seconds, 2) + "s",
+                      TablePrinter::Fmt(cb.closure_seconds, 2) + "s",
+                      TablePrinter::Fmt(cb.seed_seconds, 2) + "s",
+                      TablePrinter::Fmt(cb.greedy_seconds, 2) + "s",
                       TablePrinter::FmtCount(entries),
                       TablePrinter::FmtCount(
                           StorageIntegers(entries, with_distance)),
@@ -89,6 +96,9 @@ int main(int argc, char** argv) {
         key += mode;
         report.Add(key + "_build_s", seconds);
         report.Add(key + "_covers_s", stats.covers_seconds);
+        report.Add(key + "_closure_s", cb.closure_seconds);
+        report.Add(key + "_seed_s", cb.seed_seconds);
+        report.Add(key + "_greedy_s", cb.greedy_seconds);
         report.Add(key + "_partitions", stats.num_partitions);
         report.Add(key + "_largest_partition_connections",
                    stats.largest_partition_connections);

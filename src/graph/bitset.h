@@ -65,9 +65,17 @@ class DynamicBitset {
 
   /// this &= ~other. Returns the number of cleared bits.
   size_t SubtractWith(const DynamicBitset& other) {
+    return SubtractWith(other, 0, other.words_.size());
+  }
+
+  /// this &= ~other over 64-bit words [begin_word, end_word) only (clipped
+  /// to both sizes); for an `other` with no set bit outside them this is
+  /// the whole subtraction. Returns the number of cleared bits.
+  size_t SubtractWith(const DynamicBitset& other, size_t begin_word,
+                      size_t end_word) {
     size_t removed = 0;
-    size_t n = std::min(words_.size(), other.words_.size());
-    for (size_t w = 0; w < n; ++w) {
+    size_t n = std::min({end_word, words_.size(), other.words_.size()});
+    for (size_t w = begin_word; w < n; ++w) {
       uint64_t nw = words_[w] & ~other.words_[w];
       removed += static_cast<size_t>(std::popcount(words_[w] ^ nw));
       words_[w] = nw;
@@ -100,8 +108,16 @@ class DynamicBitset {
   /// Calls fn(i) for every bit set in both this and `other`, ascending.
   template <typename Fn>
   void ForEachIntersection(const DynamicBitset& other, Fn&& fn) const {
-    size_t n = std::min(words_.size(), other.words_.size());
-    for (size_t w = 0; w < n; ++w) {
+    ForEachIntersection(other, 0, other.words_.size(), fn);
+  }
+
+  /// Same, over 64-bit words [begin_word, end_word) only (clipped to both
+  /// sizes): the bits i with begin_word * 64 <= i < end_word * 64.
+  template <typename Fn>
+  void ForEachIntersection(const DynamicBitset& other, size_t begin_word,
+                           size_t end_word, Fn&& fn) const {
+    size_t n = std::min({end_word, words_.size(), other.words_.size()});
+    for (size_t w = begin_word; w < n; ++w) {
       uint64_t bits = words_[w] & other.words_[w];
       while (bits) {
         int b = std::countr_zero(bits);

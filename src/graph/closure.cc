@@ -182,4 +182,50 @@ std::optional<uint32_t> DistanceClosure::Dist(NodeId u, NodeId v) const {
   return it->dist;
 }
 
+void DistanceClosure::DistBatch(std::span<const NodeId> us,
+                                std::span<const NodeId> vs,
+                                std::span<uint32_t> out) const {
+  assert(us.size() == vs.size() && us.size() == out.size());
+  // What a lane with nothing to search (u == v, or an empty row) probes:
+  // a one-entry row that matches no node.
+  static constexpr DistConnection kNoRow{kInvalidNode, kUnreachable};
+  constexpr size_t kLanes = kDistBatchLanes;
+  const DistConnection* base[kLanes];
+  const DistConnection* last[kLanes];
+  size_t len[kLanes];
+  for (size_t first = 0; first < us.size(); first += kLanes) {
+    const size_t lanes = std::min(kLanes, us.size() - first);
+    size_t longest = 1;
+    for (size_t l = 0; l < lanes; ++l) {
+      const auto& row = rows_[us[first + l]];
+      const bool search = us[first + l] != vs[first + l] && !row.empty();
+      base[l] = search ? row.data() : &kNoRow;
+      len[l] = search ? row.size() : 1;
+      last[l] = base[l] + len[l] - 1;
+      longest = std::max(longest, len[l]);
+    }
+    // Lower bound by halving: the first entry >= v stays in [base,
+    // base + len]. Every lane's len shrinks by the same rule, so the
+    // longest row sets the step count and shorter lanes idle at len 1.
+    while (longest > 1) {
+      for (size_t l = 0; l < lanes; ++l) {
+        const size_t half = len[l] / 2;
+        base[l] = base[l][half].node < vs[first + l] ? base[l] + half
+                                                      : base[l];
+        len[l] -= half;
+        __builtin_prefetch(base[l] + len[l] / 2);
+      }
+      longest -= longest / 2;
+    }
+    for (size_t l = 0; l < lanes; ++l) {
+      const NodeId v = vs[first + l];
+      const DistConnection* hit =
+          base[l]->node < v && base[l] != last[l] ? base[l] + 1 : base[l];
+      out[first + l] = us[first + l] == v ? 0
+                       : hit->node == v   ? hit->dist
+                                          : kUnreachable;
+    }
+  }
+}
+
 }  // namespace hopi

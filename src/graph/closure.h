@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/bitset.h"
@@ -115,6 +116,19 @@ class DistanceClosure {
 
   /// Shortest distance u -> v, or nullopt when unconnected. Dist(u,u)==0.
   std::optional<uint32_t> Dist(NodeId u, NodeId v) const;
+
+  /// Lookups DistBatch keeps in flight at once (on the 1,000-doc cover
+  /// build's seeding, 8 measured slower and 32 no faster).
+  static constexpr size_t kDistBatchLanes = 16;
+
+  /// out[k] = Dist(us[k], vs[k]) for every k, with kUnreachable for an
+  /// unconnected pair. Same answers as Dist, faster on a batch: lookups
+  /// run kDistBatchLanes at a time as branchless binary searches over
+  /// their rows, stepped in lockstep, and every step prefetches the
+  /// lane's next probe, so the lanes' cache misses overlap instead of
+  /// queueing one after another. The three spans have equal length.
+  void DistBatch(std::span<const NodeId> us, std::span<const NodeId> vs,
+                 std::span<uint32_t> out) const;
 
   /// Strict descendants of u with distances, sorted by node id.
   const std::vector<DistConnection>& Row(NodeId u) const { return rows_[u]; }

@@ -21,6 +21,9 @@ void AggregateStats(const twohop::CoverBuildStats& part,
   total->preselect_covered += part.preselect_covered;
   total->speculative_evaluations += part.speculative_evaluations;
   total->speculative_wasted += part.speculative_wasted;
+  total->closure_seconds += part.closure_seconds;
+  total->seed_seconds += part.seed_seconds;
+  total->greedy_seconds += part.greedy_seconds;
 }
 
 /// Splits the thread budget between partition-level workers and

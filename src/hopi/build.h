@@ -62,7 +62,9 @@ struct IndexBuildStats {
   uint64_t cover_entries = 0;  // |L| of the final cover
   uint64_t total_partition_connections = 0;  // sum of partition |T|
   uint64_t largest_partition_connections = 0;
-  twohop::CoverBuildStats cover_build;  // aggregated over partitions
+  // Summed over partitions, so with concurrent partition builds its
+  // closure/seed/greedy seconds add up to more than covers_seconds.
+  twohop::CoverBuildStats cover_build;
   JoinStats join_stats;
 };
 

@@ -1,11 +1,13 @@
 #include "twohop/builder.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <memory>
 #include <queue>
 #include <ranges>
+#include <span>
 #include <utility>
 
 #include "graph/bitset.h"
@@ -13,20 +15,28 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace hopi::twohop {
 
 namespace {
 
-/// The set T' of not-yet-covered connections, as per-source bitset rows.
+/// Builds over at most this many nodes check the uncovered set's row
+/// counts against the rows in debug builds.
+constexpr size_t kCheckedRowCountNodes = 4096;
+
+/// The set T' of not-yet-covered connections, as per-source bitset rows
+/// with a count per row, so walks skip an emptied row without reading it.
 class UncoveredSet {
  public:
   /// Plain mode: the closure's descendant rows.
   explicit UncoveredSet(const TransitiveClosure& tc) {
     rows_.reserve(tc.NumNodes());
+    row_counts_.reserve(tc.NumNodes());
     for (NodeId u = 0; u < tc.NumNodes(); ++u) {
       rows_.push_back(tc.DescendantsRow(u));  // copy
-      count_ += rows_.back().Count();
+      row_counts_.push_back(static_cast<uint32_t>(rows_.back().Count()));
+      count_ += row_counts_.back();
     }
   }
 
@@ -34,31 +44,49 @@ class UncoveredSet {
   explicit UncoveredSet(const DistanceClosure& dc) {
     const size_t n = dc.NumNodes();
     rows_.reserve(n);
+    row_counts_.reserve(n);
     for (NodeId u = 0; u < n; ++u) {
       DynamicBitset& row = rows_.emplace_back(n);
       for (const DistConnection& c : dc.Row(u)) row.Set(c.node);
-      count_ += dc.Row(u).size();
+      row_counts_.push_back(static_cast<uint32_t>(dc.Row(u).size()));
+      count_ += row_counts_.back();
     }
   }
 
   uint64_t count() const { return count_; }
+  uint32_t RowCount(NodeId u) const { return row_counts_[u]; }
 
   void Remove(NodeId u, NodeId v) {
-    if (rows_[u].Clear(v)) --count_;
+    if (rows_[u].Clear(v)) {
+      --row_counts_[u];
+      --count_;
+    }
   }
 
-  /// Removes all uncovered pairs (u, v) with v in `targets`; returns the
-  /// number removed. (Plain mode bulk removal.)
-  uint64_t RemoveRowSubset(NodeId u, const DynamicBitset& targets) {
-    uint64_t removed = rows_[u].SubtractWith(targets);
+  /// Removes all uncovered pairs (u, v) with v in `targets`, whose set
+  /// bits all lie in words [begin_word, end_word); returns the number
+  /// removed. (Plain mode bulk removal.)
+  uint64_t RemoveRowSubset(NodeId u, const DynamicBitset& targets,
+                           size_t begin_word, size_t end_word) {
+    uint64_t removed = rows_[u].SubtractWith(targets, begin_word, end_word);
+    row_counts_[u] -= static_cast<uint32_t>(removed);
     count_ -= removed;
     return removed;
   }
 
   const DynamicBitset& Row(NodeId u) const { return rows_[u]; }
 
+  /// True iff every row count equals its row's popcount (debug check).
+  bool CountsMatchRows() const {
+    for (size_t u = 0; u < rows_.size(); ++u) {
+      if (rows_[u].Count() != row_counts_[u]) return false;
+    }
+    return true;
+  }
+
  private:
   std::vector<DynamicBitset> rows_;
+  std::vector<uint32_t> row_counts_;
   uint64_t count_ = 0;
 };
 
@@ -106,8 +134,10 @@ void BuildSides(const TransitiveClosure* tc, const DistanceClosure* dc,
 
 /// Finds the uncovered pairs of a center graph by survivor walks: each
 /// ancestor's uncovered bitset row is ANDed with a mask of out-side nodes,
-/// word-parallel, and only the surviving bits are looked at. In distance
-/// mode (`dc` set) a surviving (u, v) is an edge iff w lies on a shortest
+/// word-parallel, and only the surviving bits are looked at. The AND
+/// reads only the words the mask spans, and a row with no uncovered pair
+/// left is skipped before any of its words is read. In distance mode
+/// (`dc` set) a surviving (u, v) is an edge iff w lies on a shortest
 /// u -> v path (Sec 5.2), dist(u,v) == dist(u,w) + dist(w,v); dist(u,v)
 /// comes from one cursor that advances through the sorted Row(u) as the
 /// survivors ascend, so no pair pays a search. Holds per-worker scratch
@@ -148,7 +178,9 @@ class CenterGraphBuilder {
     for (uint32_t i : in_chosen) {
       NodeId u = in_side.nodes[i];
       if (dc == nullptr) {
-        covered += uncovered->RemoveRowSubset(u, out_mask_);
+        if (uncovered->RowCount(u) == 0) continue;
+        covered += uncovered->RemoveRowSubset(u, out_mask_, begin_word_,
+                                              end_word_);
         continue;
       }
       covered_targets_.clear();
@@ -163,22 +195,30 @@ class CenterGraphBuilder {
   }
 
  private:
-  /// Puts the out-side columns `columns` into the mask. In distance mode
-  /// w (the last column) stays out of the mask and is tested on its own
-  /// after each walk (w_selected_), which keeps it last.
+  /// Puts the out-side columns `columns` into the mask and records the
+  /// mask's word span [begin_word_, end_word_). In distance mode w (the
+  /// last column) stays out of the mask and is tested on its own after
+  /// each walk (w_selected_), which keeps it last.
   template <typename Columns>
   void MarkColumns(const DistanceClosure* dc, const Side& out_side,
                    const Columns& columns) {
     const uint32_t w_col = static_cast<uint32_t>(out_side.nodes.size()) - 1;
     w_selected_ = false;
+    NodeId lo = kInvalidNode;
+    NodeId hi = 0;
     for (uint32_t j : columns) {
       if (dc != nullptr && j == w_col) {
         w_selected_ = true;
         continue;
       }
-      out_index_[out_side.nodes[j]] = j;
-      out_mask_.Set(out_side.nodes[j]);
+      const NodeId v = out_side.nodes[j];
+      out_index_[v] = j;
+      out_mask_.Set(v);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
+    begin_word_ = lo == kInvalidNode ? 0 : lo / 64;
+    end_word_ = lo == kInvalidNode ? 0 : hi / 64 + 1;
   }
 
   void UnmarkColumns(const Side& out_side) {
@@ -190,17 +230,21 @@ class CenterGraphBuilder {
 
   /// Calls fn(j) for every marked out-side column j whose pair
   /// (in_side[i], out_side[j]) is uncovered and, in distance mode, has w
-  /// on a shortest path.
+  /// on a shortest path. Columns arrive ascending by node id (w last).
   template <typename Fn>
   void ForEachSurvivor(const UncoveredSet& uncovered, const DistanceClosure* dc,
                        const Side& in_side, const Side& out_side, uint32_t i,
                        Fn&& fn) const {
     const NodeId u = in_side.nodes[i];
+    if (uncovered.RowCount(u) == 0) return;
     const DynamicBitset& row = uncovered.Row(u);
     if (dc == nullptr) {
-      row.ForEachIntersection(out_mask_, [&](size_t v) {
-        if (static_cast<NodeId>(v) != u) fn(out_index_[v]);
-      });
+      row.ForEachIntersection(out_mask_, begin_word_, end_word_,
+                              [&](size_t v) {
+                                if (static_cast<NodeId>(v) != u) {
+                                  fn(out_index_[v]);
+                                }
+                              });
       return;
     }
     // Every uncovered (u, v) is a connection, so v is in Row(u) and the
@@ -208,7 +252,7 @@ class CenterGraphBuilder {
     const std::vector<DistConnection>& dist_row = dc->Row(u);
     const uint32_t dist_uw = in_side.dists[i];
     size_t cursor = 0;
-    row.ForEachIntersection(out_mask_, [&](size_t v) {
+    row.ForEachIntersection(out_mask_, begin_word_, end_word_, [&](size_t v) {
       while (dist_row[cursor].node < v) ++cursor;
       assert(cursor < dist_row.size() && dist_row[cursor].node == v);
       uint32_t j = out_index_[v];
@@ -223,6 +267,8 @@ class CenterGraphBuilder {
 
   std::vector<uint32_t> out_index_;
   DynamicBitset out_mask_;
+  size_t begin_word_ = 0;  // out_mask_'s set bits lie in these words
+  size_t end_word_ = 0;
   bool w_selected_ = false;
   std::vector<NodeId> covered_targets_;
 };
@@ -251,10 +297,26 @@ double PlainInitialPriority(uint64_t a, uint64_t d) {
   return static_cast<double>(edges) / static_cast<double>(a + d + 2);
 }
 
-/// Sampled upper-bound priority for the distance mode (Sec 5.2).
+/// Sampled pairs are looked up this many at a time, so the buffers below
+/// stay in L1 however many samples a node draws.
+constexpr size_t kSampleChunk = 1024;
+
+/// A chunk of sampled pairs: endpoints, the distance that puts w on a
+/// shortest path, and the looked-up dist(u, v).
+struct SampleBuffer {
+  std::array<NodeId, kSampleChunk> us;
+  std::array<NodeId, kSampleChunk> vs;
+  std::array<uint32_t, kSampleChunk> via_w;
+  std::array<uint32_t, kSampleChunk> dists;
+};
+
+/// Sampled upper-bound priority for the distance mode (Sec 5.2). Samples
+/// are drawn in stream order (i then j per sample from the node's stream)
+/// a chunk at a time, and one DistBatch resolves each chunk's dist(u, v);
+/// `present` counts matches and does not depend on lookup order.
 double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
                                uint32_t max_samples, double confidence,
-                               Rng* rng) {
+                               Rng* rng, SampleBuffer* buf) {
   const auto& anc = dc.ReverseRow(w);
   const auto& desc = dc.Row(w);
   uint64_t a = anc.size();
@@ -266,13 +328,24 @@ double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
   // sample only the a*d interior pairs and add the a + d guaranteed edges.
   uint64_t interior = a * d;
   uint64_t present = 0;
-  uint64_t samples = std::min<uint64_t>(interior, max_samples);
-  for (uint64_t s = 0; s < samples; ++s) {
-    const DistConnection& cu = anc[rng->NextBounded(a)];
-    const DistConnection& cv = desc[rng->NextBounded(d)];
-    if (cu.node == cv.node) continue;  // cyclic anc∩desc member: not a pair
-    auto duv = dc.Dist(cu.node, cv.node);
-    if (duv && *duv == cu.dist + cv.dist) ++present;
+  const uint64_t samples = std::min<uint64_t>(interior, max_samples);
+  for (uint64_t first = 0; first < samples; first += kSampleChunk) {
+    const size_t chunk = std::min<uint64_t>(kSampleChunk, samples - first);
+    for (size_t s = 0; s < chunk; ++s) {
+      const DistConnection& cu = anc[rng->NextBounded(a)];
+      const DistConnection& cv = desc[rng->NextBounded(d)];
+      buf->us[s] = cu.node;
+      buf->vs[s] = cv.node;
+      buf->via_w[s] = cu.dist + cv.dist;
+    }
+    dc.DistBatch(std::span(buf->us).first(chunk),
+                 std::span(buf->vs).first(chunk),
+                 std::span(buf->dists).first(chunk));
+    // A cyclic anc∩desc member drawn on both sides is not a pair: its
+    // dist(u, u) = 0 never equals via_w >= 2, so it counts as absent.
+    for (size_t s = 0; s < chunk; ++s) {
+      present += buf->dists[s] == buf->via_w[s];
+    }
   }
   double upper_fraction = 1.0;
   if (samples > 0) {
@@ -292,13 +365,14 @@ double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
 /// builder's index map/mask and the CSR center graph itself are reused
 /// across evaluations so the hot loop stays allocation-light, and owning
 /// one per worker makes the speculation stage share nothing but
-/// read-only state.
+/// read-only state. Priority seeding reuses the sample buffer.
 struct EvalScratch {
   explicit EvalScratch(size_t num_nodes) : cg_builder(num_nodes) {}
   Side in_side;
   Side out_side;
   CenterGraphBuilder cg_builder;
   BipartiteGraph cg;
+  SampleBuffer samples;
 };
 
 /// A candidate's densest-subgraph evaluation, stamped with the version of
@@ -340,9 +414,19 @@ class CoverBuildPipeline {
 
   Result<TwoHopCover> Run() {
     stats_->initial_connections = uncovered_.count();
+    Stopwatch watch;
     Preselect();
+    stats_->greedy_seconds = watch.ElapsedSeconds();
+    // Test-sized builds check the row counts; the assert compiles out
+    // with NDEBUG.
+    assert(n_ > kCheckedRowCountNodes || uncovered_.CountsMatchRows());
+    watch.Restart();
     HOPI_RETURN_NOT_OK(SeedPriorities());
+    stats_->seed_seconds = watch.ElapsedSeconds();
+    watch.Restart();
     HOPI_RETURN_NOT_OK(GreedyLoop());
+    stats_->greedy_seconds += watch.ElapsedSeconds();
+    assert(n_ > kCheckedRowCountNodes || uncovered_.CountsMatchRows());
     return std::move(cover_);
   }
 
@@ -393,12 +477,12 @@ class CoverBuildPipeline {
   Status SeedPriorities() {
     std::vector<double> priorities(n_, 0.0);
     const Rng base(options_.sample_seed);
-    auto seed_one = [&](size_t w) {
+    auto seed_one = [&](size_t w, size_t worker) {
       if (options_.with_distance) {
         Rng node_rng = base.Fork(w);
         priorities[w] = DistanceInitialPriority(
             *dc_, static_cast<NodeId>(w), options_.max_density_samples,
-            options_.density_confidence, &node_rng);
+            options_.density_confidence, &node_rng, &scratch_[worker].samples);
       } else {
         priorities[w] = PlainInitialPriority(
             tc_->AncestorsRow(static_cast<NodeId>(w)).Count(),
@@ -410,7 +494,7 @@ class CoverBuildPipeline {
       HOPI_RETURN_NOT_OK(pool_->ParallelFor(0, n_, seed_one));
     } else {
       for (size_t w = 0; w < n_; ++w) {
-        Status s = seed_one(w);
+        Status s = seed_one(w, 0);
         assert(s.ok());
         (void)s;
       }
@@ -565,13 +649,18 @@ Result<TwoHopCover> BuildCover(const Digraph& g,
                                CoverBuildStats* stats) {
   CoverBuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  Stopwatch watch;
   if (options.with_distance) {
     DistanceClosure dc = DistanceClosure::Build(g);
-    return CoverBuildPipeline(nullptr, &dc, options, stats).Run();
+    CoverBuildPipeline pipeline(nullptr, &dc, options, stats);
+    stats->closure_seconds = watch.ElapsedSeconds();
+    return pipeline.Run();
   }
   auto tc = TransitiveClosure::Build(g);
   if (!tc.ok()) return tc.status();
-  return CoverBuildPipeline(&*tc, nullptr, options, stats).Run();
+  CoverBuildPipeline pipeline(&*tc, nullptr, options, stats);
+  stats->closure_seconds = watch.ElapsedSeconds();
+  return pipeline.Run();
 }
 
 Status ValidateCover(const TwoHopCover& cover, const Digraph& g,

@@ -12,7 +12,11 @@
 // The distance-aware mode (Sec 5) restricts center-graph edges to pairs
 // (u, v) with dist(u,v) == dist(u,w) + dist(w,v) and replaces optimization
 // (2) with the sampled edge-count estimate (<= 13,600 samples, 98% CI
-// upper bound, priority sqrt(E)/2).
+// upper bound, priority sqrt(E)/2). A node's samples are drawn a chunk
+// at a time, in the order its stream gives them, and each chunk's
+// dist(u,v) are then resolved together by DistanceClosure::DistBatch,
+// whose lockstep binary searches overlap their cache misses; the
+// estimate only counts matches, so it does not depend on lookup order.
 //
 // Inputs. Plain mode reads the bitset TransitiveClosure. Distance mode
 // reads only the DistanceClosure: its sorted rows seed the uncovered set
@@ -21,12 +25,15 @@
 //
 // Center graphs are found by survivor walks. Each ancestor u's uncovered
 // bitset row is ANDed word-parallel with a mask of w's descendant side,
-// and only the surviving v are visited, ascending. In distance mode one
-// cursor advances through the sorted DistanceClosure::Row(u) alongside
-// them to read dist(u,v) for the shortest-path test, so no pair pays a
-// search; applying a center removes covered pairs by the same walk. The
-// graph itself is a CSR BipartiteGraph kept in per-worker scratch and
-// refilled for every evaluation.
+// and only the surviving v are visited, ascending. The AND reads only
+// the words the mask spans, and the uncovered set's per-row counts let
+// a row with nothing left uncovered be skipped without reading it. In
+// distance mode one cursor advances through the sorted
+// DistanceClosure::Row(u) alongside the survivors to read dist(u,v) for
+// the shortest-path test, so no pair pays a search; applying a center
+// removes covered pairs by the same walk. The graph itself is a CSR
+// BipartiteGraph kept in per-worker scratch and refilled for every
+// evaluation.
 //
 // Center preselection (Sec 4.2) seeds the cover with a caller-provided
 // list of centers (HOPI passes cross-partition link targets) before the
@@ -57,9 +64,11 @@
 // each center graph's adjacency order, because the densest-subgraph
 // peeling breaks degree ties by it: in-vertices ascend, each in-vertex's
 // out-vertices ascend by node id, and in distance mode w's own column
-// comes last. Golden fingerprints (entry count + FNV-1a over all labels)
-// pin the contract: CoverBuilderGolden in builder_test and
-// BuildIndexGolden in build_index_test.
+// comes last. Skipped rows and clipped words hold no survivor, so they
+// change neither which edges are found nor their order. Golden
+// fingerprints (entry count + FNV-1a over all labels) pin the contract:
+// CoverBuilderGolden in builder_test and BuildIndexGolden in
+// build_index_test.
 #pragma once
 
 #include <cstddef>
@@ -118,6 +127,12 @@ struct CoverBuildStats {
   // invalidated by a commit before being consumed.
   uint64_t speculative_evaluations = 0;
   uint64_t speculative_wasted = 0;
+  // Where the build's wall time went: the closure and the uncovered set
+  // seeded from it, initial priorities, then preselection plus the
+  // greedy loop.
+  double closure_seconds = 0.0;
+  double seed_seconds = 0.0;
+  double greedy_seconds = 0.0;
 };
 
 /// Builds a 2-hop cover for all connections of `g`. Computes the closure

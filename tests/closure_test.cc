@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+
 #include "graph/bitset.h"
 #include "graph/closure.h"
 #include "graph/traversal.h"
@@ -59,6 +63,47 @@ TEST(BitsetTest, IntersectsAndForEachIntersection) {
   EXPECT_EQ(common, (std::vector<size_t>{150}));
   b.Clear(150);
   EXPECT_FALSE(a.Intersects(b));
+}
+
+TEST(BitsetTest, WordRangeForEachIntersectionAtTheEdges) {
+  // Three words; common bits in the first and last word and one between.
+  DynamicBitset a(192), b(192);
+  for (size_t i : {0u, 63u, 64u, 100u, 128u, 191u}) a.Set(i);
+  for (size_t i : {0u, 63u, 100u, 128u, 191u, 150u}) b.Set(i);
+  auto common = [&](size_t begin_word, size_t end_word) {
+    std::vector<size_t> out;
+    a.ForEachIntersection(b, begin_word, end_word,
+                          [&out](size_t i) { out.push_back(i); });
+    return out;
+  };
+  EXPECT_EQ(common(0, 3), (std::vector<size_t>{0, 63, 100, 128, 191}));
+  EXPECT_EQ(common(0, 1), (std::vector<size_t>{0, 63}));    // first word
+  EXPECT_EQ(common(2, 3), (std::vector<size_t>{128, 191}));  // last word
+  EXPECT_EQ(common(1, 2), (std::vector<size_t>{100}));
+  EXPECT_TRUE(common(1, 1).empty());  // empty range
+  EXPECT_TRUE(common(2, 1).empty());  // reversed range reads nothing
+  EXPECT_TRUE(common(3, 9).empty());  // wholly past the end
+  EXPECT_EQ(common(2, 1000), (std::vector<size_t>{128, 191}));  // clipped
+  // A shorter operand clips the range too.
+  DynamicBitset short_b(64);
+  short_b.Set(63);
+  std::vector<size_t> out;
+  a.ForEachIntersection(short_b, 0, 3, [&out](size_t i) { out.push_back(i); });
+  EXPECT_EQ(out, (std::vector<size_t>{63}));
+}
+
+TEST(BitsetTest, WordRangeSubtractTouchesOnlyItsWords) {
+  DynamicBitset a(192), b(192);
+  for (size_t i : {1u, 70u, 190u}) {
+    a.Set(i);
+    b.Set(i);
+  }
+  EXPECT_EQ(a.SubtractWith(b, 1, 2), 1u);  // only bit 70's word
+  EXPECT_EQ(a.ToVector(), (std::vector<uint32_t>{1, 190}));
+  EXPECT_EQ(a.SubtractWith(b, 3, 7), 0u);  // past the end
+  EXPECT_EQ(a.SubtractWith(b, 0, 0), 0u);  // empty
+  EXPECT_EQ(a.SubtractWith(b, 0, 99), 2u);
+  EXPECT_FALSE(a.Any());
 }
 
 TEST(BitsetTest, ToVectorSorted) {
@@ -187,6 +232,59 @@ TEST(DistanceClosureTest, MatchesBfsEverywhere) {
         EXPECT_EQ(*d, bfs[v]);
       }
     }
+  }
+}
+
+// DistBatch must answer exactly like Dist for every pair, whatever the
+// batch size. The graph mixes a random cyclic digraph with self-loops,
+// a node with an empty row, one with a length-1 row and a self-loop-only
+// node (empty row, Dist(u, u) == 0).
+TEST(DistanceClosureTest, DistBatchMatchesDistPairForPair) {
+  constexpr size_t kLanes = DistanceClosure::kDistBatchLanes;
+  for (uint64_t seed : {51u, 52u, 53u}) {
+    Digraph g = testing::RandomDigraph(60, 110, seed);
+    for (NodeId v = 0; v < 60; v += 7) g.AddEdge(v, v);
+    const NodeId isolated = g.AddNode();
+    const NodeId one = g.AddNode();
+    g.AddEdge(one, g.AddNode());
+    const NodeId loop_only = g.AddNode();
+    g.AddEdge(loop_only, loop_only);
+    DistanceClosure dc = DistanceClosure::Build(g);
+    ASSERT_TRUE(dc.Row(isolated).empty());
+    ASSERT_EQ(dc.Row(one).size(), 1u);
+    ASSERT_TRUE(dc.Row(loop_only).empty());
+
+    // Every ordered pair, shuffled so each batch mixes rows.
+    std::vector<NodeId> us, vs;
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        us.push_back(u);
+        vs.push_back(v);
+      }
+    }
+    Rng rng(seed);
+    for (size_t k = us.size(); k > 1; --k) {
+      size_t j = rng.NextBounded(k);
+      std::swap(us[k - 1], us[j]);
+      std::swap(vs[k - 1], vs[j]);
+    }
+    for (size_t batch : {size_t{1}, kLanes - 1, kLanes, kLanes + 1,
+                         3 * kLanes + 5, us.size()}) {
+      std::vector<uint32_t> out(us.size(), 12345);
+      for (size_t first = 0; first < us.size(); first += batch) {
+        const size_t len = std::min(batch, us.size() - first);
+        dc.DistBatch(std::span(us).subspan(first, len),
+                     std::span(vs).subspan(first, len),
+                     std::span(out).subspan(first, len));
+      }
+      for (size_t k = 0; k < us.size(); ++k) {
+        auto d = dc.Dist(us[k], vs[k]);
+        ASSERT_EQ(out[k], d.value_or(kUnreachable))
+            << "seed " << seed << " batch " << batch << " pair (" << us[k]
+            << "," << vs[k] << ")";
+      }
+    }
+    dc.DistBatch({}, {}, {});  // an empty batch is a no-op
   }
 }
 

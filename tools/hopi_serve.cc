@@ -140,7 +140,10 @@ int main(int argc, char** argv) {
     }
     std::cerr << "index built in " << build_stats.total_seconds
               << " s: partition " << build_stats.partition_seconds
-              << " s, covers " << build_stats.covers_seconds << " s, join "
+              << " s, covers " << build_stats.covers_seconds << " s (closure "
+              << build_stats.cover_build.closure_seconds << " s, seed "
+              << build_stats.cover_build.seed_seconds << " s, greedy "
+              << build_stats.cover_build.greedy_seconds << " s), join "
               << build_stats.join_seconds << " s; "
               << build_stats.num_partitions << " partitions, largest "
               << build_stats.largest_partition_connections << " of "
