@@ -50,60 +50,6 @@ namespace {
 
 using engine::ReachabilityBackend;
 
-enum class SemiJoinDirection {
-  kForward,   ///< keep probes that some anchor reaches
-  kBackward,  ///< keep probes that reach some anchor
-};
-
-/// The reducer's set-at-a-time primitive. Sets (*keep)[i] to whether
-/// probes[i] is strictly reachable from some anchor (forward), or
-/// strictly reaches some anchor (backward) — through an anchor other
-/// than probes[i] itself. Without labels only the forward direction
-/// runs (count_only). Fails only with the first label-fetch error.
-Status SemiJoin(SemiJoinDirection direction, std::span<const NodeId> anchors,
-                std::span<const NodeId> probes,
-                const ReachabilityBackend& backend,
-                const SemiJoinContext& context, std::vector<uint8_t>* keep) {
-  const bool forward = direction == SemiJoinDirection::kForward;
-  assert(forward || context.labels != nullptr);
-  SemiJoinScratch local;
-  SemiJoinScratch& scratch = context.scratch ? *context.scratch : local;
-  Status error = Status::OK();
-  auto for_each_center = [&](bool out, NodeId node, auto&& visit) {
-    engine::PinnedJoin label = context.labels->Fetch(out, node, &error);
-    for (size_t i = 0; i < label.view.n; ++i) {
-      if (visit(label.view.center(i))) return;
-    }
-  };
-  scratch.Begin();
-  for (NodeId s : anchors) {
-    scratch.Add(s, s);
-    if (context.labels == nullptr) {
-      // Label-less: the anchor's descendants stand in for its centers.
-      for (NodeId d : backend.Descendants(s)) scratch.Add(d, s);
-    } else {
-      for_each_center(forward, s, [&](NodeId c) {
-        scratch.Add(c, s);
-        return false;
-      });
-    }
-  }
-  keep->assign(probes.size(), 0);
-  for (size_t i = 0; i < probes.size(); ++i) {
-    NodeId t = probes[i];
-    bool hit = scratch.HitsOther(t, t);
-    if (context.labels != nullptr) {
-      // Fetched even after a self hit, so a corrupt label never hides.
-      for_each_center(!forward, t, [&](NodeId c) {
-        hit = hit || scratch.HitsOther(c, t);
-        return hit;
-      });
-    }
-    (*keep)[i] = hit;
-  }
-  return error;
-}
-
 /// One candidate element with its tag-similarity weight (1.0 unless the
 /// step is approximate and the element matched through a synonym).
 struct Candidate {
@@ -142,83 +88,218 @@ std::vector<Candidate> StepCandidates(const PathStep& step,
   return out;
 }
 
-std::vector<NodeId> Elements(const std::vector<Candidate>& candidates) {
-  std::vector<NodeId> out;
-  out.reserve(candidates.size());
-  for (const Candidate& c : candidates) out.push_back(c.element);
-  return out;
-}
-
-/// One semi-join pass: drops the candidates of `*probes` that no element
-/// of `anchors` reaches (forward) or that reach none of them (backward).
-Status Reduce(SemiJoinDirection direction,
-              const std::vector<Candidate>& anchors,
+/// The forward semi-join: drops the candidates of `*probes` that no
+/// element of `anchors` strictly reaches — through an anchor other than
+/// the probe itself. With `lists` (labelled only) it also files every
+/// survivor under the centers of Lin(t) ∪ {t} it was tested with. Fails
+/// only with the first label-fetch error.
+Status Reduce(const std::vector<Candidate>& anchors,
               std::vector<Candidate>* probes,
               const ReachabilityBackend& backend,
-              const SemiJoinContext& context) {
-  std::vector<uint8_t> keep;
-  HOPI_RETURN_NOT_OK(SemiJoin(direction, Elements(anchors), Elements(*probes),
-                              backend, context, &keep));
+              const SemiJoinContext& context, SemiJoinScratch& scratch,
+              CenterLists* lists) {
+  assert(lists == nullptr || context.labels != nullptr);
+  Status error = Status::OK();
+  scratch.Begin();
+  for (const Candidate& anchor : anchors) {
+    const NodeId s = anchor.element;
+    scratch.Add(s, s);
+    if (context.labels == nullptr) {
+      // Label-less: the anchor's descendants stand in for its centers.
+      for (NodeId d : backend.Descendants(s)) scratch.Add(d, s);
+    } else {
+      engine::PinnedJoin label = context.labels->Fetch(true, s, &error);
+      for (size_t i = 0; i < label.view.n; ++i) {
+        scratch.Add(label.view.center(i), s);
+      }
+    }
+  }
+  if (lists != nullptr) lists->entries.clear();
   size_t kept = 0;
-  for (size_t i = 0; i < probes->size(); ++i) {
-    if (keep[i]) (*probes)[kept++] = (*probes)[i];
+  for (size_t p = 0; p < probes->size(); ++p) {
+    const NodeId t = (*probes)[p].element;
+    bool hit = scratch.HitsOther(t, t);
+    if (context.labels != nullptr) {
+      // Fetched even after a self hit, so a corrupt label never hides.
+      engine::PinnedJoin label = context.labels->Fetch(false, t, &error);
+      const twohop::JoinView& lin = label.view;
+      for (size_t i = 0; i < lin.n && !hit; ++i) {
+        hit = scratch.HitsOther(lin.center(i), t);
+      }
+      if (hit && lists != nullptr) {
+        const uint32_t candidate = static_cast<uint32_t>(kept);
+        scratch.AddToList(*lists, t, candidate, 0);
+        for (size_t i = 0; i < lin.n; ++i) {
+          scratch.AddToList(*lists, lin.center(i), candidate, lin.dist_at(i));
+        }
+      }
+    }
+    if (hit) (*probes)[kept++] = (*probes)[p];
   }
   probes->resize(kept);
-  return Status::OK();
+  return error;
 }
 
-/// Depth-first enumeration of bindings. `step_dists[i]` is the distance
-/// from bindings[i-1] to bindings[i] when the max_step_distance filter
-/// already computed it.
-void Enumerate(const std::vector<std::vector<Candidate>>& candidates,
-               const ReachabilityBackend& backend,
-               const PathQueryOptions& options, size_t step,
-               std::vector<NodeId>* bindings,
-               std::vector<uint32_t>* step_dists, double tag_score,
-               std::vector<PathMatch>* out) {
-  if (out->size() >= options.max_matches) return;
-  const bool filter_distance =
-      options.max_step_distance != UINT32_MAX && backend.with_distance();
-  if (step == candidates.size()) {
-    PathMatch match;
-    match.bindings = *bindings;
-    match.score = tag_score;
-    for (size_t i = 1; i < bindings->size(); ++i) {
+/// Depth-first enumeration of bindings, in the order of the step
+/// candidates. With labels a binding's successors come from the next
+/// step's center lists; without, from a pair probe per candidate.
+class Enumerator {
+ public:
+  Enumerator(const std::vector<std::vector<Candidate>>& candidates,
+             const ReachabilityBackend& backend,
+             const PathQueryOptions& options, const LabelSource* labels,
+             SemiJoinScratch* scratch, std::vector<PathMatch>* out)
+      : candidates_(candidates),
+        backend_(backend),
+        options_(options),
+        labels_(labels),
+        scratch_(scratch),
+        out_(out),
+        filter_distance_(options.max_step_distance != UINT32_MAX &&
+                         backend.with_distance()) {}
+
+  /// Binds step 0 to each of its candidates in turn.
+  Status Run() {
+    for (uint32_t c = 0; c < candidates_[0].size(); ++c) {
+      if (Full()) break;
+      HOPI_RETURN_NOT_OK(Bind(0, c, 0, 1.0));
+    }
+    return Status::OK();
+  }
+
+ private:
+  bool Full() const { return out_->size() >= options_.max_matches; }
+
+  /// Binds candidate `c` of `step` at distance `d` from the previous
+  /// binding and enumerates what follows it. A subtree that yields no
+  /// match is marked dead: it does not depend on the previous binding.
+  Status Bind(size_t step, uint32_t c, uint32_t d, double tag_score) {
+    const Candidate& cand = candidates_[step][c];
+    bindings_.push_back(cand.element);
+    step_dists_.push_back(d);
+    const size_t before = out_->size();
+    Status status = Expand(step + 1, tag_score * cand.tag_score);
+    step_dists_.pop_back();
+    bindings_.pop_back();
+    if (status.ok() && out_->size() == before) {
+      scratch_->lists(step).dead[c] = 1;
+    }
+    return status;
+  }
+
+  /// Enumerates step `step`'s bindings after bindings_.back().
+  Status Expand(size_t step, double tag_score) {
+    if (step == candidates_.size()) {
+      Emit(tag_score);
+      return Status::OK();
+    }
+    return labels_ != nullptr ? ExpandByLabels(step, tag_score)
+                              : ExpandByProbes(step, tag_score);
+  }
+
+  /// Walks Lout(prev) ∪ {prev} through the step's center lists: every
+  /// live survivor prev reaches, each once, with its least distance.
+  Status ExpandByLabels(size_t step, double tag_score) {
+    const NodeId prev = bindings_.back();
+    CenterLists& lists = scratch_->lists(step);
+    ++stamp_;
+    std::vector<uint32_t>& order = lists.order;  // deeper steps use theirs
+    order.clear();
+    auto gather = [&](NodeId center, uint32_t dout) {
+      for (uint32_t e = scratch_->ListHead(lists, center);
+           e != CenterLists::kEnd;) {
+        const CenterLists::Entry& entry = lists.entries[e];
+        e = entry.next;
+        if (lists.dead[entry.candidate]) continue;
+        const uint32_t d = dout + entry.dist;
+        if (lists.seen[entry.candidate] != stamp_) {
+          lists.seen[entry.candidate] = stamp_;
+          lists.dist[entry.candidate] = d;
+          order.push_back(entry.candidate);
+        } else {
+          lists.dist[entry.candidate] =
+              std::min(lists.dist[entry.candidate], d);
+        }
+      }
+    };
+    gather(prev, 0);
+    Status error = Status::OK();
+    {
+      engine::PinnedJoin lout = labels_->Fetch(true, prev, &error);
+      for (size_t i = 0; i < lout.view.n; ++i) {
+        gather(lout.view.center(i), lout.view.dist_at(i));
+      }
+    }
+    HOPI_RETURN_NOT_OK(error);
+    std::sort(order.begin(), order.end());
+    for (uint32_t c : order) {
+      if (candidates_[step][c].element == prev) continue;  // strict
+      const uint32_t d = backend_.with_distance() ? lists.dist[c] : 0;
+      if (filter_distance_ && d > options_.max_step_distance) continue;
+      HOPI_RETURN_NOT_OK(Bind(step, c, d, tag_score));
+      if (Full()) break;
+    }
+    return Status::OK();
+  }
+
+  /// Label-less backends (closure, delta overlay, sharded) have no
+  /// center lists to expand through, and building a Descendants set per
+  /// candidate costs more than the pair probes of an enumeration that
+  /// stops at max_matches, so they test each candidate pair.
+  Status ExpandByProbes(size_t step, double tag_score) {
+    const NodeId prev = bindings_.back();
+    const std::vector<uint8_t>& dead = scratch_->lists(step).dead;
+    for (uint32_t c = 0; c < candidates_[step].size(); ++c) {
+      const NodeId element = candidates_[step][c].element;
+      if (dead[c] || element == prev ||
+          !backend_.IsReachable(prev, element)) {
+        continue;
+      }
       uint32_t d = 0;
-      if (filter_distance) {
-        d = (*step_dists)[i];
-      } else if (backend.with_distance()) {
-        auto dist = backend.Distance((*bindings)[i - 1], (*bindings)[i]);
-        d = dist ? *dist : 0;
+      if (filter_distance_) {
+        auto dist = backend_.Distance(prev, element);
+        if (!dist || *dist > options_.max_step_distance) continue;
+        d = *dist;
+      }
+      HOPI_RETURN_NOT_OK(Bind(step, c, d, tag_score));
+      if (Full()) break;
+    }
+    return Status::OK();
+  }
+
+  void Emit(double tag_score) {
+    // step_dists_ hold each pair's distance whenever it was known at
+    // bind time; only unfiltered probes leave it to be asked here.
+    const bool known = labels_ != nullptr || filter_distance_;
+    PathMatch match;
+    match.bindings = bindings_;
+    match.score = tag_score;
+    for (size_t i = 1; i < bindings_.size(); ++i) {
+      uint32_t d = 0;
+      if (known) {
+        d = step_dists_[i];
+      } else if (backend_.with_distance()) {
+        d = backend_.Distance(bindings_[i - 1], bindings_[i]).value_or(0);
       }
       match.total_distance += d;
       match.score *= 1.0 / (1.0 + d);
     }
-    out->push_back(std::move(match));
-    return;
+    out_->push_back(std::move(match));
   }
-  for (const Candidate& cand : candidates[step]) {
-    uint32_t d = 0;
-    if (step > 0) {
-      NodeId prev = bindings->back();
-      if (prev == cand.element || !backend.IsReachable(prev, cand.element)) {
-        continue;
-      }
-      if (filter_distance) {
-        auto dist = backend.Distance(prev, cand.element);
-        if (!dist || *dist > options.max_step_distance) continue;
-        d = *dist;
-      }
-    }
-    bindings->push_back(cand.element);
-    step_dists->push_back(d);
-    Enumerate(candidates, backend, options, step + 1, bindings, step_dists,
-              tag_score * cand.tag_score, out);
-    step_dists->pop_back();
-    bindings->pop_back();
-    if (out->size() >= options.max_matches) return;
-  }
-}
+
+  const std::vector<std::vector<Candidate>>& candidates_;
+  const ReachabilityBackend& backend_;
+  const PathQueryOptions& options_;
+  const LabelSource* labels_;
+  SemiJoinScratch* scratch_;
+  std::vector<PathMatch>* out_;
+  const bool filter_distance_;
+  std::vector<NodeId> bindings_;
+  std::vector<uint32_t> step_dists_;
+  // One per expansion, and each expansion ends in a match or a dead
+  // mark, so a query cannot wrap it.
+  uint32_t stamp_ = 0;
+};
 
 }  // namespace
 
@@ -235,29 +316,30 @@ Result<std::vector<PathMatch>> EvaluatePath(
     candidates.push_back(StepCandidates(step, collection, tags, options));
     if (candidates.back().empty()) return std::vector<PathMatch>{};
   }
-  // Full reducer: after the forward and the backward pass every
-  // remaining candidate takes part in some match, so the enumeration
-  // below never explores a dead end it would have to back out of.
-  // Label-less backends skip it: enumerating every candidate's
-  // Descendants costs more than the pair probes of an enumeration that
-  // stops at max_matches (one BFS per candidate on the delta overlay).
+  SemiJoinScratch local;
+  SemiJoinScratch& scratch = context.scratch ? *context.scratch : local;
+  scratch.BeginLists(candidates.size());
+  // With labels the forward pass drops what no binding of the step
+  // before reaches and files the rest in center lists for the DFS.
   if (context.labels != nullptr) {
     for (size_t s = 1; s < candidates.size(); ++s) {
-      HOPI_RETURN_NOT_OK(Reduce(SemiJoinDirection::kForward,
-                                candidates[s - 1], &candidates[s], backend,
-                                context));
+      HOPI_RETURN_NOT_OK(Reduce(candidates[s - 1], &candidates[s], backend,
+                                context, scratch, &scratch.lists(s)));
       if (candidates[s].empty()) return std::vector<PathMatch>{};
     }
-    for (size_t s = candidates.size() - 1; s > 0; --s) {
-      HOPI_RETURN_NOT_OK(Reduce(SemiJoinDirection::kBackward, candidates[s],
-                                &candidates[s - 1], backend, context));
-    }
+  }
+  for (size_t s = 0; s < candidates.size(); ++s) {
+    CenterLists& lists = scratch.lists(s);
+    lists.dead.assign(candidates[s].size(), 0);
+    lists.seen.assign(candidates[s].size(), 0);
+    lists.dist.resize(candidates[s].size());
   }
   std::vector<PathMatch> matches;
-  std::vector<NodeId> bindings;
-  std::vector<uint32_t> step_dists;
-  Enumerate(candidates, backend, options, 0, &bindings, &step_dists, 1.0,
-            &matches);
+  if (options.max_matches > 0) {
+    Enumerator enumerator(candidates, backend, options, context.labels,
+                          &scratch, &matches);
+    HOPI_RETURN_NOT_OK(enumerator.Run());
+  }
   std::stable_sort(matches.begin(), matches.end(),
                    [](const PathMatch& a, const PathMatch& b) {
                      return a.score > b.score;
@@ -274,15 +356,17 @@ Result<size_t> CountPathResults(const PathExpression& expr,
     return Status::InvalidArgument("empty path expression");
   }
   PathQueryOptions options;  // exact semantics for counting
-  // The forward half of the reducer: the last step's survivors are the
-  // distinct elements some match ends in.
+  SemiJoinScratch local;
+  SemiJoinScratch& scratch = context.scratch ? *context.scratch : local;
+  // The forward chain: the last step's survivors are the distinct
+  // elements some match ends in.
   std::vector<Candidate> frontier =
       StepCandidates(expr.steps.front(), collection, tags, options);
   for (size_t s = 1; s < expr.steps.size() && !frontier.empty(); ++s) {
     std::vector<Candidate> next =
         StepCandidates(expr.steps[s], collection, tags, options);
     HOPI_RETURN_NOT_OK(
-        Reduce(SemiJoinDirection::kForward, frontier, &next, backend, context));
+        Reduce(frontier, &next, backend, context, scratch, nullptr));
     frontier = std::move(next);
   }
   return frontier.size();

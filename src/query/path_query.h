@@ -8,27 +8,33 @@
 // Results can be ranked by connection length, the XXL-style scoring the
 // distance-aware index exists for (paper Sec 5.1).
 //
-// Evaluation is set-at-a-time. A chain query is acyclic, so a semi-join
-// full reducer (Yannakakis, VLDB 1981) removes exactly the step
-// candidates that take part in no match: a forward pass keeps the
-// candidates of step i+1 that some survivor of step i reaches, and a
-// backward pass keeps the candidates of step i that reach some survivor
-// of step i+1. CountPathResults is the forward chain alone;
-// EvaluatePath runs both passes and then the depth-first enumeration
-// over what is left, so it emits exactly the match sequence, the
-// max_matches cut-off, the scores and distances the unreduced
-// enumeration would.
+// Evaluation is set-at-a-time, then output-sensitive. A forward
+// semi-join pass (Yannakakis, VLDB 1981) keeps the candidates of step
+// i+1 that some survivor of step i reaches. It tests a whole candidate
+// set against another with the 2-hop labels instead of pair by pair:
+// the anchors' centers Lout(s) ∪ {s} go into a scratch array indexed by
+// center, and each probe t is kept when one of Lin(t) ∪ {t} is there
+// (Cohen et al., SODA 2002). That costs O(sum of label sizes) where the
+// per-pair test costs O(|A|·|B|) label merges. Reachability is
+// *strict*: a pair binds two different elements, so t needs an anchor
+// s != t. The scratch keeps up to two distinct anchors per center,
+// which keeps that exclusion exact when s and t share a center — a
+// node on a link cycle reaches itself through its own labels.
+// CountPathResults is this forward chain alone.
 //
-// Each pass tests a whole candidate set against another with the 2-hop
-// labels instead of pair by pair: the anchors' centers Lout(s) ∪ {s} go
-// into a scratch array indexed by center, and each probe t is kept when
-// one of Lin(t) ∪ {t} is there (Cohen et al., SODA 2002). That costs
-// O(sum of label sizes) where the per-pair test costs O(|A|·|B|) label
-// merges. Reachability is *strict*: a pair binds two different
-// elements, so t needs an anchor s != t.
-// The scratch keeps up to two distinct anchors per center, which keeps
-// that exclusion exact when s and t share a center — a node on a link
-// cycle reaches itself through its own labels.
+// EvaluatePath's forward pass also files every survivor t under each
+// center of Lin(t) ∪ {t} (the step's center lists), from the labels the
+// pass fetched anyway. The depth-first enumeration then expands a
+// binding s by walking Lout(s) ∪ {s} and reading those centers' lists:
+// exactly the survivors s reaches, with dist(s, t) as the least
+// dout + din over their shared centers. Sorted by candidate order they
+// are the bindings the pair-by-pair enumeration would make, so the
+// match sequence, the max_matches cut-off, the scores and distances do
+// not change, and the cost follows the matches instead of
+// |survivors(i)| × |survivors(i+1)| probes. A candidate whose subtree
+// was explored without a match is marked dead and never expanded again
+// (its subtree does not depend on the binding before it), which is
+// what a backward pass would have pruned up front.
 //
 // Labels come from a LabelSource; engine::QueryEngine passes one over
 // its label fetch (memo → block → borrow), so a corrupt block surfaces
@@ -37,16 +43,15 @@
 // overlay, sharded) or a direct call without one — CountPathResults
 // takes each anchor's Descendants as its center set and the probe alone
 // as its own: the same test, fed by the backend's axis enumeration.
-// EvaluatePath skips the reducer there and enumerates directly, because
-// a Descendants enumeration per candidate costs more than the pair
-// probes of an enumeration that stops at max_matches. Most callers
-// should go through the engine::QueryEngine facade rather than calling
-// these free functions directly.
+// EvaluatePath skips the forward pass there and binds each step by
+// pair probes, because a Descendants enumeration per candidate costs
+// more than the pair probes of an enumeration that stops at
+// max_matches. Most callers should go through the engine::QueryEngine
+// facade rather than calling these free functions directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -104,7 +109,7 @@ struct PathQueryOptions {
   double min_tag_similarity = 0.3;
 };
 
-/// Lends the reducer one 2-hop label at a time.
+/// Lends the evaluator one 2-hop label at a time.
 class LabelSource {
  public:
   virtual ~LabelSource() = default;
@@ -116,9 +121,35 @@ class LabelSource {
                                    Status* error) const = 0;
 };
 
-/// Scratch for the reducer's passes: one slot per center, stamped with the pass
-/// that wrote it, so a pass starts in O(1) and a long-lived owner (one
-/// per QueryEngine) allocates only when the collection grows.
+/// One step's center lists, built by the forward pass over the step's
+/// survivors: for each center c, a chain from head[c] through
+/// entries[].next of the survivors t with c ∈ Lin(t) ∪ {t}, each with
+/// din(c, t). Heads are stamped with the query that wrote them. The
+/// rest is the enumeration's per-survivor state.
+struct CenterLists {
+  static constexpr uint32_t kEnd = UINT32_MAX;
+  struct Head {
+    uint32_t epoch = 0;
+    uint32_t first = kEnd;
+  };
+  struct Entry {
+    uint32_t candidate;  // index into the step's survivors
+    uint32_t dist;       // din(center, candidate); 0 for the self center
+    uint32_t next;       // the center's next entry, or kEnd
+  };
+  std::vector<Head> head;       // by center
+  std::vector<Entry> entries;
+  std::vector<uint8_t> dead;    // subtree explored without a match
+  std::vector<uint32_t> seen;   // expansion stamp of the last gather
+  std::vector<uint32_t> dist;   // least distance from the binding expanded
+  std::vector<uint32_t> order;  // the survivors one expansion gathered
+};
+
+/// Scratch for path evaluation: one slot per center for the forward
+/// pass, and the center lists of each step. Slots and list heads are
+/// stamped with the pass or query that wrote them, so a pass starts in
+/// O(1) and a long-lived owner (one per QueryEngine) allocates only when
+/// the collection or the candidate sets grow.
 class SemiJoinScratch {
  public:
   /// Starts a pass: every slot written before reads as empty.
@@ -149,6 +180,37 @@ class SemiJoinScratch {
            (slot.first != probe || slot.second != probe);
   }
 
+  /// Starts a query's center lists: every head written before reads
+  /// as empty, and there is room for `steps` steps.
+  void BeginLists(size_t steps) {
+    if (lists_.size() < steps) lists_.resize(steps);
+    if (++list_epoch_ == 0) {
+      for (CenterLists& lists : lists_) {
+        for (CenterLists::Head& head : lists.head) head.epoch = 0;
+      }
+      list_epoch_ = 1;
+    }
+  }
+
+  /// Files survivor `candidate` under `center` at distance `dist`.
+  void AddToList(CenterLists& lists, NodeId center, uint32_t candidate,
+                 uint32_t dist) {
+    if (center >= lists.head.size()) lists.head.resize(size_t{center} + 1);
+    CenterLists::Head& head = lists.head[center];
+    if (head.epoch != list_epoch_) head = {list_epoch_, CenterLists::kEnd};
+    lists.entries.push_back({candidate, dist, head.first});
+    head.first = static_cast<uint32_t>(lists.entries.size() - 1);
+  }
+
+  /// The first entry of `center`'s chain in `lists`, or kEnd.
+  uint32_t ListHead(const CenterLists& lists, NodeId center) const {
+    if (center >= lists.head.size()) return CenterLists::kEnd;
+    const CenterLists::Head& head = lists.head[center];
+    return head.epoch == list_epoch_ ? head.first : CenterLists::kEnd;
+  }
+
+  CenterLists& lists(size_t step) { return lists_[step]; }
+
  private:
   struct Slot {
     uint32_t epoch = 0;
@@ -157,11 +219,14 @@ class SemiJoinScratch {
   };
   std::vector<Slot> slots_;
   uint32_t epoch_ = 0;
+  uint32_t list_epoch_ = 0;
+  std::vector<CenterLists> lists_;
 };
 
-/// What the reducer runs on. Both are optional: without `labels`
+/// What the evaluator runs on. Both are optional: without `labels`
 /// counting falls back to the backend's Descendants and EvaluatePath
-/// does not reduce, and without `scratch` each pass allocates its own.
+/// binds by pair probes, and without `scratch` each call allocates its
+/// own.
 struct SemiJoinContext {
   const LabelSource* labels = nullptr;
   SemiJoinScratch* scratch = nullptr;

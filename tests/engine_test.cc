@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "engine/snapshot.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
+#include "storage/compress.h"
 #include "storage/format.h"
 #include "storage/linlout.h"
 #include "test_util.h"
@@ -639,7 +641,8 @@ struct PathCase {
 
 /// Same-tag, wildcard, empty-middle, cyclic (`loop`/`spoke`, see
 /// CyclicPathFixture), approximate, distance-bounded and truncated
-/// queries. Tags missing from a collection just give empty answers.
+/// queries, and the shapes that exercise the enumeration's dead marks.
+/// Tags missing from a collection just give empty answers.
 const PathCase kPathCases[] = {
     {"//cite//cite"},
     {"//*//title"},
@@ -660,6 +663,14 @@ const PathCase kPathCases[] = {
     {"//*//title", 7},
     {"//cite//cite", 1},
     {"//~cite//*", 13},
+    // Dead ends in the middle step, cut off early and run to the end.
+    {"//*//cite//title", 5},
+    {"//*//cite//title"},
+    // A cut-off inside a subtree, after dead ends before it.
+    {"//cite//*//author", 3},
+    // Dead marks under a distance bound.
+    {"//*//*//title", 1000, 1},
+    {"//*//title", 0},
 };
 
 query::TagSimilarity PathCaseSynonyms() {
@@ -791,6 +802,175 @@ TEST_F(CyclicPathFixture, PathReducerMatchesPairByPairEvaluation) {
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(count->count, 0u) << engine->backend().Name();
   }
+}
+
+/// Pair probes a backend was asked for.
+struct ProbeCounts {
+  size_t is_reachable = 0;
+  size_t distance = 0;
+};
+
+/// Forwards every call to `inner`, labels included, and counts the
+/// pair probes.
+class ProbeCountingBackend final : public ReachabilityBackend {
+ public:
+  ProbeCountingBackend(const ReachabilityBackend& inner, ProbeCounts* counts)
+      : inner_(inner), counts_(counts) {}
+
+  std::string_view Name() const override { return inner_.Name(); }
+  bool with_distance() const override { return inner_.with_distance(); }
+  bool IsReachable(NodeId u, NodeId v) const override {
+    ++counts_->is_reachable;
+    return inner_.IsReachable(u, v);
+  }
+  std::optional<uint32_t> Distance(NodeId u, NodeId v) const override {
+    ++counts_->distance;
+    return inner_.Distance(u, v);
+  }
+  std::vector<NodeId> Descendants(NodeId u) const override {
+    return inner_.Descendants(u);
+  }
+  std::vector<NodeId> Ancestors(NodeId u) const override {
+    return inner_.Ancestors(u);
+  }
+  bool HasLabels() const override { return inner_.HasLabels(); }
+  std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
+    return inner_.BorrowOutJoin(u);
+  }
+  std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
+    return inner_.BorrowInJoin(v);
+  }
+  std::optional<uint64_t> OutLabelBlock(NodeId u) const override {
+    return inner_.OutLabelBlock(u);
+  }
+  std::optional<uint64_t> InLabelBlock(NodeId v) const override {
+    return inner_.InLabelBlock(v);
+  }
+  Result<LabelBlock> DecodeLabelBlock(uint64_t handle) const override {
+    return inner_.DecodeLabelBlock(handle);
+  }
+
+ private:
+  const ReachabilityBackend& inner_;
+  ProbeCounts* counts_;
+};
+
+/// Materializing path queries on labelled backends (in-memory cover,
+/// mapped v3 and v4) bind every step from labels: the backend is never
+/// asked a pair probe, not even for the distances the scores use.
+void ExpectNoPairProbes(const Collection& c,
+                        const std::vector<const ReachabilityBackend*>& labelled) {
+  for (const ReachabilityBackend* inner : labelled) {
+    ASSERT_TRUE(inner->HasLabels()) << inner->Name();
+    ProbeCounts counts;
+    QueryEngine engine(c,
+                       std::make_unique<ProbeCountingBackend>(*inner, &counts));
+    size_t matches = 0;
+    for (const PathCase& pc : kPathCases) {
+      auto got = engine.Query({.expression = pc.expression,
+                               .max_matches = pc.max_matches,
+                               .max_step_distance = pc.max_step_distance});
+      ASSERT_TRUE(got.ok()) << pc.expression << ": " << got.status();
+      matches += got->matches.size();
+    }
+    EXPECT_GT(matches, 0u) << inner->Name();
+    EXPECT_EQ(counts.is_reachable, 0u) << inner->Name();
+    EXPECT_EQ(counts.distance, 0u) << inner->Name();
+  }
+}
+
+TEST_F(QueryEngineFixture, LabelledPathQueriesMakeNoPairProbes) {
+  ExpectNoPairProbes(c_, {backends_[0].get(), backends_[2].get(),
+                          backends_[3].get()});
+}
+
+TEST_F(CyclicPathFixture, LabelledPathQueriesMakeNoPairProbes) {
+  ExpectNoPairProbes(c_, {backends_[0].get(), backends_[2].get(),
+                          backends_[3].get()});
+}
+
+TEST_F(QueryEngineFixture, CorruptLoutOfExpandedSurvivorFailsTyped) {
+  // Damage the v4 block that holds the LOUT row of a step-1 binding of
+  // a 3-step query, in a lazily opened store: expanding that binding
+  // reads the row, and the materializing query must fail with
+  // Corruption instead of coming back short.
+  const std::string expression = "//inproceedings//cite//title";
+  auto clean = engines_[3]->Query({.expression = expression});
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_FALSE(clean->matches.empty());
+  const NodeId survivor = clean->matches.front().bindings[1];
+  std::optional<uint64_t> handle = mapped_v4_store_->LoutBlockHandle(survivor);
+  ASSERT_TRUE(handle.has_value());
+  const uint64_t block = *handle & 0xFFFFFFFFu;  // low half: block index
+
+  auto info = storage::InspectFile(v4_path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  std::vector<std::byte> image = hopi::testing::ReadFileBytes(v4_path_);
+  const storage::SectionRange& table =
+      info->sections[storage::kV4LoutBlocks];
+  storage::V4BlockEntry entry;
+  ASSERT_LE((block + 1) * sizeof(entry), table.length);
+  std::memcpy(&entry, image.data() + table.offset + block * sizeof(entry),
+              sizeof(entry));
+  const storage::SectionRange& blob = info->sections[storage::kV4LoutBlob];
+  ASSERT_LE(entry.blob_offset + entry.blob_bytes, blob.length);
+  image[blob.offset + entry.blob_offset + entry.blob_bytes / 2] ^=
+      std::byte{0x08};
+
+  const std::string path = ::testing::TempDir() + "hopi_engine_corrupt_lout.bin";
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f), image.size());
+  std::fclose(f);
+  auto store = storage::MappedLinLoutStore::Open(
+      path, {.verify_file_checksum = false});
+  ASSERT_TRUE(store.ok()) << store.status();
+  QueryEngine engine = QueryEngine::ForMappedStore(c_, *store);
+  auto matches = engine.Query({.expression = expression});
+  EXPECT_TRUE(matches.status().IsCorruption()) << matches.status();
+  std::remove(path.c_str());
+}
+
+/// Lends the borrowed labels of `backend` but fails the second fetch
+/// of LOUT(`node`). The forward pass makes the first, so the failure
+/// lands in the enumeration's expansion of `node`.
+class FailingSecondLoutFetch final : public query::LabelSource {
+ public:
+  FailingSecondLoutFetch(const ReachabilityBackend& backend, NodeId node)
+      : backend_(backend), node_(node) {}
+
+  PinnedJoin Fetch(bool out, NodeId node, Status* error) const override {
+    if (out && node == node_ && ++fetches_ == 2) {
+      if (error->ok()) *error = Status::Corruption("injected LOUT failure");
+      return {twohop::JoinView{}, nullptr};
+    }
+    std::optional<twohop::JoinView> view =
+        out ? backend_.BorrowOutJoin(node) : backend_.BorrowInJoin(node);
+    return {view.value_or(twohop::JoinView{}), nullptr};
+  }
+
+  size_t fetches() const { return fetches_; }
+
+ private:
+  const ReachabilityBackend& backend_;
+  NodeId node_;
+  mutable size_t fetches_ = 0;
+};
+
+TEST_F(QueryEngineFixture, FailedFetchDuringExpansionFailsTheQuery) {
+  const ReachabilityBackend& backend = *backends_[0];
+  query::TagIndex tags(c_);
+  auto expr = query::PathExpression::Parse("//inproceedings//cite//title");
+  ASSERT_TRUE(expr.ok());
+  auto clean = engines_[0]->Query({.expression = expr->ToString()});
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_FALSE(clean->matches.empty());
+  FailingSecondLoutFetch labels(backend, clean->matches.front().bindings[1]);
+  query::SemiJoinContext context;
+  context.labels = &labels;
+  auto got = query::EvaluatePath(*expr, backend, c_, tags, {}, context);
+  EXPECT_EQ(labels.fetches(), 2u);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status();
 }
 
 // ---- the byte-budgeted block cache ----
