@@ -20,8 +20,15 @@
 // set is what makes the per-worker label caches (and their hit-rate
 // numbers in /stats) meaningful under load.
 //
+// Two in-process wire cells (--mode=wire, also part of "all") time the
+// front-end's own CPU stages without sockets: decoding a 256-pair Zipf
+// /v1/batch body (the shape perfbench's `reach` workload sends) and
+// serializing a 1,000-match /v1/path response. Each is the median of
+// single-call timings repeated for at least --seconds/4 of wall time.
+//
 // Writes BENCH_serving.json (throughput, latency percentiles, status
-// mix) via BenchReport.
+// mix, wire-stage medians, build info) via BenchReport.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iostream>
@@ -37,6 +44,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/service.h"
+#include "net/wire.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -66,6 +74,73 @@ std::string MakeBatchBody(Rng* rng, uint64_t num_elements, size_t batch_size,
   }
   body += "]}";
   return body;
+}
+
+/// Median microseconds of one `op(i)` call (i counts the calls), timed
+/// one call at a time for at least `min_seconds` and 11 calls.
+template <typename Op>
+double MedianCallMicros(double min_seconds, Op op) {
+  std::vector<double> samples;
+  Stopwatch wall;
+  while (samples.size() < 11 || wall.ElapsedSeconds() < min_seconds) {
+    auto start = std::chrono::steady_clock::now();
+    op(samples.size());
+    samples.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// The wire cells: decode of 256-pair Zipf batch bodies, serialize of
+/// a 1,000-match path response. Returns false if a body fails to decode.
+bool RunWireCells(uint64_t num_elements, double zipf_s, uint64_t seed,
+                  double min_seconds, hopi::bench::BenchReport* report) {
+  constexpr size_t kPairs = 256;
+  constexpr size_t kMatches = 1000;
+  Rng rng(seed);
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 64; ++i) {
+    bodies.push_back(MakeBatchBody(&rng, num_elements, kPairs, zipf_s));
+  }
+  const net::JsonWire wire;
+  bool decoded = true;
+  double decode_us = MedianCallMicros(min_seconds, [&](size_t i) {
+    auto request = wire.ParseBatchRequest(bodies[i % bodies.size()],
+                                          num_elements);
+    decoded = decoded && request.ok() && request->pairs.size() == kPairs;
+  });
+
+  // A //abstract//sentence-shaped answer: two bindings per match, small
+  // distances, scores 1/(1+d).
+  engine::PathQueryResponse path;
+  for (size_t i = 0; i < kMatches; ++i) {
+    query::PathMatch match;
+    match.bindings = {static_cast<NodeId>(rng.NextBounded(num_elements)),
+                      static_cast<NodeId>(rng.NextBounded(num_elements))};
+    match.total_distance = static_cast<uint32_t>(1 + rng.NextBounded(6));
+    match.score = 1.0 / (1.0 + match.total_distance);
+    path.matches.push_back(std::move(match));
+  }
+  path.count = path.matches.size();
+  const engine::PoolPathResponse response{.result = std::move(path)};
+  size_t bytes = 0;
+  double serialize_us = MedianCallMicros(min_seconds, [&](size_t) {
+    bytes = net::JsonWire::SerializePathResponse(response).size();
+  });
+
+  std::cout << "wire: decode " << decode_us << " us per " << kPairs
+            << "-pair body (" << bodies[0].size() << " B), serialize "
+            << serialize_us << " us per " << kMatches << "-match path response ("
+            << bytes << " B)\n";
+  report->Add("wire_decode_batch256_us", decode_us);
+  report->Add("wire_decode_body_bytes",
+              static_cast<uint64_t>(bodies[0].size()));
+  report->Add("wire_serialize_path1000_us", serialize_us);
+  report->Add("wire_serialize_path1000_bytes", static_cast<uint64_t>(bytes));
+  return decoded;
 }
 
 /// Drives `clients` keep-alive connections against `port` for
@@ -216,6 +291,14 @@ int main(int argc, char** argv) {
   report.Add("batch_size", static_cast<uint64_t>(batch_size));
   report.Add("zipf_s", zipf_s);
   report.Add("workers", static_cast<uint64_t>(workers));
+  report.AddBuildInfo();
+
+  if (mode == "all" || mode == "wire") {
+    if (!RunWireCells(num_elements, zipf_s, seed, seconds / 4, &report)) {
+      std::cerr << "wire: a generated batch body failed to decode\n";
+      return 1;
+    }
+  }
 
   TablePrinter table({"mode", "req/s", "probes/s", "p50 us", "p99 us",
                       "p999 us", "200", "429", "err"});

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/backends.h"
@@ -127,22 +126,39 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
   return {twohop::JoinView{}, nullptr};
 }
 
+void QueryEngine::DedupeProbes(const std::vector<NodePair>& pairs) const {
+  DedupScratch& d = dedup_scratch_;
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * pairs.size()) ++bits;
+  d.table.assign(size_t{1} << bits, DedupScratch::Bucket{});
+  d.unique.clear();
+  d.slot.resize(pairs.size());
+  const size_t mask = d.table.size() - 1;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const uint64_t key = PairKey(pairs[i]);
+    // Fibonacci hashing: the multiply folds both ids into the top bits.
+    size_t b = (key * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+    while (d.table[b].unique != DedupScratch::kEmpty &&
+           d.table[b].key != key) {
+      b = (b + 1) & mask;
+    }
+    if (d.table[b].unique == DedupScratch::kEmpty) {
+      d.table[b] = {key, d.unique.size()};
+      d.unique.push_back(pairs[i]);
+    }
+    d.slot[i] = d.table[b].unique;
+  }
+}
+
 BatchResponse QueryEngine::Batch(const BatchRequest& request) const {
   BatchResponse response;
   response.stats.probes = request.pairs.size();
 
   // Dedup repeated (u, v) probes: answer each distinct pair once, then
   // scatter the answers back to every occurrence.
-  std::unordered_map<uint64_t, size_t> slot_of;
-  slot_of.reserve(request.pairs.size());
-  std::vector<NodePair> unique;
-  std::vector<size_t> slot(request.pairs.size());
-  for (size_t i = 0; i < request.pairs.size(); ++i) {
-    auto [it, inserted] =
-        slot_of.try_emplace(PairKey(request.pairs[i]), unique.size());
-    if (inserted) unique.push_back(request.pairs[i]);
-    slot[i] = it->second;
-  }
+  DedupeProbes(request.pairs);
+  const std::vector<NodePair>& unique = dedup_scratch_.unique;
+  const std::vector<size_t>& slot = dedup_scratch_.slot;
   response.stats.unique_probes = unique.size();
 
   std::vector<bool> reachable(unique.size());

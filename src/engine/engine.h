@@ -240,6 +240,25 @@ class QueryEngine {
   /// FetchJoinLabel as the path reducer's label source.
   class PathLabels;
 
+  /// Batch's probe dedup state, kept across batches so a warm engine
+  /// allocates nothing for it: an open-addressing table (linear
+  /// probing, a power of two at least twice the batch) from a pair's
+  /// 64-bit key to its index in `unique`, the distinct pairs in first-
+  /// occurrence order, and each probe's index into them.
+  struct DedupScratch {
+    static constexpr size_t kEmpty = SIZE_MAX;
+    struct Bucket {
+      uint64_t key = 0;
+      size_t unique = kEmpty;
+    };
+    std::vector<Bucket> table;
+    std::vector<NodePair> unique;
+    std::vector<size_t> slot;
+  };
+
+  /// Fills dedup_scratch_ for `pairs`.
+  void DedupeProbes(const std::vector<NodePair>& pairs) const;
+
   const collection::Collection* collection_;
   std::unique_ptr<ReachabilityBackend> backend_;
   std::shared_ptr<const query::TagIndex> tags_;
@@ -247,6 +266,7 @@ class QueryEngine {
   mutable LabelCache cache_;
   /// The path reducer's per-center scratch, reused across queries.
   mutable query::SemiJoinScratch semi_join_scratch_;
+  mutable DedupScratch dedup_scratch_;
 };
 
 }  // namespace hopi::engine

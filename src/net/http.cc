@@ -4,6 +4,8 @@
 #include <cctype>
 #include <utility>
 
+#include "net/json.h"
+
 namespace hopi::net {
 namespace {
 
@@ -264,20 +266,40 @@ std::string_view HttpStatusText(int status) {
   }
 }
 
-std::string SerializeResponse(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " ";
-  out += HttpStatusText(response.status);
-  out += "\r\n";
-  if (!response.content_type.empty()) {
-    out += "content-type: " + response.content_type + "\r\n";
-  }
-  out += "content-length: " + std::to_string(response.body.size()) + "\r\n";
+void AppendResponse(std::string* out, const HttpResponse& response) {
+  // Status line and fixed headers fit in 128 bytes; the rest is counted.
+  size_t bytes = 128 + response.content_type.size() + response.body.size();
   for (const auto& [name, value] : response.extra_headers) {
-    out += name + ": " + value + "\r\n";
+    bytes += name.size() + value.size() + 4;
   }
-  if (response.close) out += "connection: close\r\n";
-  out += "\r\n";
-  out += response.body;
+  out->reserve(out->size() + bytes);
+  out->append("HTTP/1.1 ");
+  AppendJsonUint(out, static_cast<uint64_t>(response.status));
+  out->push_back(' ');
+  out->append(HttpStatusText(response.status));
+  out->append("\r\n");
+  if (!response.content_type.empty()) {
+    out->append("content-type: ");
+    out->append(response.content_type);
+    out->append("\r\n");
+  }
+  out->append("content-length: ");
+  AppendJsonUint(out, response.body.size());
+  out->append("\r\n");
+  for (const auto& [name, value] : response.extra_headers) {
+    out->append(name);
+    out->append(": ");
+    out->append(value);
+    out->append("\r\n");
+  }
+  if (response.close) out->append("connection: close\r\n");
+  out->append("\r\n");
+  out->append(response.body);
+}
+
+std::string SerializeResponse(const HttpResponse& response) {
+  std::string out;
+  AppendResponse(&out, response);
   return out;
 }
 

@@ -109,7 +109,7 @@ class HttpParser {
   HttpRequest pending_;
 };
 
-/// One response, serialized by SerializeResponse. `close` emits
+/// One response, serialized by AppendResponse. `close` emits
 /// "Connection: close" (the transport closes after writing).
 struct HttpResponse {
   int status = 200;
@@ -120,8 +120,12 @@ struct HttpResponse {
   std::vector<std::pair<std::string, std::string>> extra_headers;
 };
 
-/// Serializes status line + headers + body. Content-Length is always
-/// emitted (the framing the parser on the other side relies on).
+/// Appends status line + headers + body to *out, growing it once.
+/// Content-Length is always emitted (the framing the parser on the
+/// other side relies on).
+void AppendResponse(std::string* out, const HttpResponse& response);
+
+/// AppendResponse into a fresh string.
 std::string SerializeResponse(const HttpResponse& response);
 
 /// Reason phrase for the handful of statuses the server emits;

@@ -432,7 +432,7 @@ void HttpServer::Pump(IoLoop* loop, Conn* conn) {
       response.body = JsonWire::SerializeError(error.status);
       response.close = true;
       conn->close_after_write = true;
-      conn->out += SerializeResponse(response);
+      AppendResponse(&conn->out, response);
       responses_.fetch_add(1, std::memory_order_relaxed);
       UpdateInterest(loop, conn, /*want_read=*/false, conn->want_write);
       FlushWrites(loop, conn);
@@ -447,7 +447,7 @@ void HttpServer::CompleteResponse(IoLoop* loop, Conn* conn,
   conn->awaiting = false;
   if (!conn->keep_alive_after_response) response.close = true;
   if (response.close) conn->close_after_write = true;
-  conn->out += SerializeResponse(response);
+  AppendResponse(&conn->out, response);
   responses_.fetch_add(1, std::memory_order_relaxed);
   FlushWrites(loop, conn);
   if (loop->conns.find(conn->id) == loop->conns.end()) return;  // closed

@@ -18,7 +18,8 @@ uint64_t NowMicros() {
 void AppendLatencyJson(std::string* out,
                        const LatencyHistogram::Snapshot& snapshot) {
   *out += "{\"count\":" + std::to_string(snapshot.count);
-  *out += ",\"mean_us\":" + JsonNumber(snapshot.Mean());
+  *out += ",\"mean_us\":";
+  AppendJsonNumber(out, snapshot.Mean());
   *out += ",\"p50_us\":" + std::to_string(snapshot.ValueAtQuantile(0.50));
   *out += ",\"p90_us\":" + std::to_string(snapshot.ValueAtQuantile(0.90));
   *out += ",\"p99_us\":" + std::to_string(snapshot.ValueAtQuantile(0.99));
@@ -305,7 +306,8 @@ std::string ReachabilityService::StatsJson() const {
   out += ",\"rebuilds\":" + std::to_string(pool.rebuilds);
   out += ",\"last_rebuild_pause_us\":" +
          std::to_string(pool.last_rebuild_pause_us);
-  out += ",\"degradation\":" + JsonNumber(pool.degradation);
+  out += ",\"degradation\":";
+  AppendJsonNumber(&out, pool.degradation);
   out += '}';
   AppendServerAndEndpoints(&out);
   return out;

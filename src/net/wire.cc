@@ -1,7 +1,9 @@
 #include "net/wire.h"
 
-#include <cmath>
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace hopi::net {
 namespace {
@@ -13,14 +15,7 @@ Status GetUint(const JsonValue& v, std::string_view field, uint64_t max,
   if (!v.is_number()) {
     return Status::InvalidArgument(std::string(field) + " must be a number");
   }
-  double d = v.AsNumber();
-  if (d < 0 || d > static_cast<double>(max) || d != std::floor(d)) {
-    return Status::InvalidArgument(std::string(field) +
-                                   " must be an integer in [0, " +
-                                   std::to_string(max) + "]");
-  }
-  *out = static_cast<uint64_t>(d);
-  return Status::OK();
+  return JsonReader::ToUint(v.AsNumber(), field, max, out);
 }
 
 Status GetBool(const JsonValue& v, std::string_view field, bool* out) {
@@ -31,49 +26,115 @@ Status GetBool(const JsonValue& v, std::string_view field, bool* out) {
   return Status::OK();
 }
 
-}  // namespace
+Status PairShapeError() {
+  return Status::InvalidArgument(
+      "every \"pairs\" entry must be a two-element array [u, v]");
+}
 
-Result<engine::BatchRequest> JsonWire::ParseBatchRequest(
-    std::string_view body, uint64_t num_elements) const {
-  HOPI_ASSIGN_OR_RETURN(JsonValue root, ParseJson(body, limits_.json));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("request body must be a JSON object");
-  }
-  const JsonValue* pairs = root.Find("pairs");
-  if (pairs == nullptr || !pairs->is_array()) {
+/// One pair id at depth 3: an array item of its [u, v] entry.
+Status ReadPairId(JsonReader* in, std::string_view field, uint64_t max,
+                  NodeId* out) {
+  HOPI_RETURN_NOT_OK(in->CountElement());
+  HOPI_RETURN_NOT_OK(in->CheckDepth(3));
+  in->SkipWhitespace();
+  uint64_t id = 0;
+  HOPI_RETURN_NOT_OK(in->ReadUint(field, max, &id));
+  *out = static_cast<NodeId>(id);
+  in->SkipWhitespace();
+  return Status::OK();
+}
+
+/// The value of "pairs" (depth 1), cursor on its first byte: an array
+/// of [u, v] entries written straight into *pairs.
+Status ReadPairs(JsonReader* in, size_t body_bytes, uint64_t num_elements,
+                 size_t max_pairs, std::vector<engine::NodePair>* pairs) {
+  if (!in->Consume('[')) {
     return Status::InvalidArgument("\"pairs\" must be an array of [u, v]");
   }
-  engine::BatchRequest request;
-  if (pairs->AsArray().size() > limits_.max_pairs) {
-    return Status::InvalidArgument(
-        "\"pairs\" has " + std::to_string(pairs->AsArray().size()) +
-        " entries; the wire limit is " + std::to_string(limits_.max_pairs));
-  }
-  if (!pairs->AsArray().empty() && num_elements == 0) {
+  in->SkipWhitespace();
+  if (in->Consume(']')) return Status::OK();
+  if (num_elements == 0) {
     return Status::InvalidArgument("the serving collection has no elements");
   }
-  request.pairs.reserve(pairs->AsArray().size());
-  for (const JsonValue& pair : pairs->AsArray()) {
-    if (!pair.is_array() || pair.AsArray().size() != 2) {
+  // Every entry spends at least six bytes ("[0,0],"), which bounds the
+  // reservation by the body as well as by the limit.
+  pairs->reserve(std::min(max_pairs, body_bytes / 6 + 1));
+  do {
+    if (pairs->size() == max_pairs) {
       return Status::InvalidArgument(
-          "every \"pairs\" entry must be a two-element array [u, v]");
+          "\"pairs\" has more than " + std::to_string(max_pairs) +
+          " entries; the wire limit is " + std::to_string(max_pairs));
     }
-    uint64_t u = 0;
-    uint64_t v = 0;
+    HOPI_RETURN_NOT_OK(in->CountElement());
+    HOPI_RETURN_NOT_OK(in->CheckDepth(2));
+    in->SkipWhitespace();
+    if (!in->Consume('[')) return PairShapeError();
+    engine::NodePair pair;
     HOPI_RETURN_NOT_OK(
-        GetUint(pair.AsArray()[0], "pair source", num_elements - 1, &u));
+        ReadPairId(in, "pair source", num_elements - 1, &pair.first));
+    if (!in->Consume(',')) return PairShapeError();
     HOPI_RETURN_NOT_OK(
-        GetUint(pair.AsArray()[1], "pair target", num_elements - 1, &v));
-    request.pairs.push_back(
-        {static_cast<NodeId>(u), static_cast<NodeId>(v)});
+        ReadPairId(in, "pair target", num_elements - 1, &pair.second));
+    if (!in->Consume(']')) return PairShapeError();
+    pairs->push_back(pair);
+    in->SkipWhitespace();
+  } while (in->Consume(','));
+  if (!in->Consume(']')) return in->Fail("expected ',' or ']' in array");
+  return Status::OK();
+}
+
+}  // namespace
+
+// The reader enforces ParseJson's grammar and limits, and the calls
+// here mirror its depth and element accounting, so exactly the bodies
+// the tree-then-walk decode accepted are accepted, with the same values
+// (tests/wire_fuzz_test.cc keeps that decode as the reference).
+Result<engine::BatchRequest> JsonWire::ParseBatchRequest(
+    std::string_view body, uint64_t num_elements) const {
+  JsonReader in(body, limits_.json);
+  engine::BatchRequest request;
+  bool seen_pairs = false;
+  bool seen_want_distances = false;
+  in.SkipWhitespace();
+  if (!in.Consume('{')) {
+    return Status::InvalidArgument("request body must be a JSON object");
   }
-  for (const auto& [key, value] : root.AsObject()) {
-    if (key == "pairs") continue;
-    if (key == "want_distances") {
-      HOPI_RETURN_NOT_OK(GetBool(value, key, &request.want_distances));
-      continue;
-    }
-    return Status::InvalidArgument("unknown field \"" + key + "\"");
+  in.SkipWhitespace();
+  if (!in.Consume('}')) {
+    std::string key;
+    do {
+      in.SkipWhitespace();
+      if (in.AtEnd() || in.Peek() != '"') {
+        return in.Fail("expected object key string");
+      }
+      HOPI_RETURN_NOT_OK(in.ReadString(&key));
+      in.SkipWhitespace();
+      if (!in.Consume(':')) return in.Fail("expected ':' after key");
+      HOPI_RETURN_NOT_OK(in.CountElement());
+      HOPI_RETURN_NOT_OK(in.CheckDepth(1));
+      in.SkipWhitespace();
+      bool* seen = key == "pairs"            ? &seen_pairs
+                   : key == "want_distances" ? &seen_want_distances
+                                             : nullptr;
+      if (seen == nullptr) {
+        return Status::InvalidArgument("unknown field \"" + key + "\"");
+      }
+      if (*seen) return in.Fail("duplicate object key '" + key + "'");
+      *seen = true;
+      if (seen == &seen_pairs) {
+        HOPI_RETURN_NOT_OK(ReadPairs(&in, body.size(), num_elements,
+                                     limits_.max_pairs, &request.pairs));
+      } else {
+        HOPI_RETURN_NOT_OK(in.ReadBool(key, &request.want_distances));
+      }
+      in.SkipWhitespace();
+    } while (in.Consume(','));
+    if (!in.Consume('}')) return in.Fail("expected ',' or '}' in object");
+  }
+  in.SkipWhitespace();
+  if (!in.AtEnd()) return in.Fail("trailing bytes after the JSON document");
+  if (!seen_pairs) {
+    return Status::InvalidArgument("\"pairs\" must be an array of [u, v]");
   }
   return request;
 }
@@ -264,125 +325,155 @@ Result<engine::Mutation> JsonWire::ParseMutationRequest(
       "delete_document");
 }
 
+namespace {
+
+/// `"key":v` (with the leading comma unless `first`).
+void AppendUintField(std::string* out, std::string_view key, uint64_t v,
+                     bool first = false) {
+  if (!first) out->push_back(',');
+  out->push_back('"');
+  out->append(key);
+  out->append("\":");
+  AppendJsonUint(out, v);
+}
+
+void AppendBools(std::string* out, const std::vector<bool>& values) {
+  out->push_back('[');
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(values[i] ? "true" : "false");
+  }
+  out->push_back(']');
+}
+
+/// The "reachable" and (when asked for) "distances" arrays.
+void AppendAnswers(std::string* out, const engine::BatchResponse& batch) {
+  out->append("\"reachable\":");
+  AppendBools(out, batch.reachable);
+  if (batch.distances.empty()) return;
+  out->append(",\"distances\":[");
+  for (size_t i = 0; i < batch.distances.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    if (batch.distances[i].has_value()) {
+      AppendJsonUint(out, *batch.distances[i]);
+    } else {
+      out->append("null");
+    }
+  }
+  out->push_back(']');
+}
+
+void AppendStats(std::string* out, const engine::BatchStats& stats) {
+  out->append(",\"stats\":{");
+  AppendUintField(out, "probes", stats.probes, /*first=*/true);
+  AppendUintField(out, "unique_probes", stats.unique_probes);
+  AppendUintField(out, "cache_hits", stats.cache_hits);
+  AppendUintField(out, "cache_misses", stats.cache_misses);
+  AppendUintField(out, "labels_borrowed", stats.labels_borrowed);
+  out->push_back('}');
+}
+
+void AppendPartialError(std::string* out, const Status& status) {
+  if (status.ok()) return;
+  out->append(",\"partial_error\":");
+  out->append(JsonWire::SerializeError(status));
+}
+
+/// Bytes a batch response takes at most before its error envelope:
+/// "false," per answer, a ten-digit distance per answer, the rest.
+size_t BatchResponseBytes(const engine::BatchResponse& batch) {
+  return 6 * batch.reachable.size() + 11 * batch.distances.size() + 384;
+}
+
+}  // namespace
+
 std::string JsonWire::SerializeMutationReceipt(
     const engine::MutationReceipt& receipt) {
-  std::string out =
-      "{\"applied\":true,\"generation\":" + std::to_string(receipt.generation);
-  out += ",\"snapshot_version\":" + std::to_string(receipt.snapshot_version);
+  std::string out = "{\"applied\":true";
+  AppendUintField(&out, "generation", receipt.generation);
+  AppendUintField(&out, "snapshot_version", receipt.snapshot_version);
   if (receipt.doc != collection::kInvalidDoc) {
-    out += ",\"doc\":" + std::to_string(receipt.doc);
-    out += ",\"first_element\":" + std::to_string(receipt.first_element);
-    out += ",\"num_elements\":" + std::to_string(receipt.num_elements);
+    AppendUintField(&out, "doc", receipt.doc);
+    AppendUintField(&out, "first_element", receipt.first_element);
+    AppendUintField(&out, "num_elements", receipt.num_elements);
   }
-  out += '}';
+  out.push_back('}');
   return out;
 }
 
 std::string JsonWire::SerializeBatchResponse(
     const engine::PoolBatchResponse& response) {
   const engine::BatchResponse& batch = response.batch;
-  std::string out = "{\"reachable\":[";
-  for (size_t i = 0; i < batch.reachable.size(); ++i) {
-    if (i > 0) out += ',';
-    out += batch.reachable[i] ? "true" : "false";
-  }
-  out += ']';
-  if (!batch.distances.empty()) {
-    out += ",\"distances\":[";
-    for (size_t i = 0; i < batch.distances.size(); ++i) {
-      if (i > 0) out += ',';
-      if (batch.distances[i].has_value()) {
-        out += std::to_string(*batch.distances[i]);
-      } else {
-        out += "null";
-      }
-    }
-    out += ']';
-  }
-  out += ",\"snapshot_version\":" + std::to_string(response.snapshot_version);
-  out += ",\"delta_generation\":" + std::to_string(response.delta_generation);
-  out += ",\"worker\":" + std::to_string(response.worker);
-  out += ",\"stats\":{\"probes\":" + std::to_string(batch.stats.probes);
-  out += ",\"unique_probes\":" + std::to_string(batch.stats.unique_probes);
-  out += ",\"cache_hits\":" + std::to_string(batch.stats.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(batch.stats.cache_misses);
-  out += ",\"labels_borrowed\":" + std::to_string(batch.stats.labels_borrowed);
-  out += "}";
-  if (!batch.error.ok()) {
-    out += ",\"partial_error\":";
-    out += SerializeError(batch.error);
-  }
-  out += '}';
+  std::string out;
+  out.reserve(BatchResponseBytes(batch));
+  out.push_back('{');
+  AppendAnswers(&out, batch);
+  AppendUintField(&out, "snapshot_version", response.snapshot_version);
+  AppendUintField(&out, "delta_generation", response.delta_generation);
+  AppendUintField(&out, "worker", response.worker);
+  AppendStats(&out, batch.stats);
+  AppendPartialError(&out, batch.error);
+  out.push_back('}');
   return out;
 }
 
 std::string JsonWire::SerializeShardedBatchResponse(
     const engine::ShardedBatchResponse& response) {
   const engine::BatchResponse& batch = response.batch;
-  std::string out = "{\"reachable\":[";
-  for (size_t i = 0; i < batch.reachable.size(); ++i) {
-    if (i > 0) out += ',';
-    out += batch.reachable[i] ? "true" : "false";
-  }
-  out += ']';
-  if (!batch.distances.empty()) {
-    out += ",\"distances\":[";
-    for (size_t i = 0; i < batch.distances.size(); ++i) {
-      if (i > 0) out += ',';
-      if (batch.distances[i].has_value()) {
-        out += std::to_string(*batch.distances[i]);
-      } else {
-        out += "null";
-      }
-    }
-    out += ']';
-  }
-  out += ",\"resolved\":[";
-  for (size_t i = 0; i < response.resolved.size(); ++i) {
-    if (i > 0) out += ',';
-    out += response.resolved[i] ? "true" : "false";
-  }
-  out += "],\"shard_versions\":[";
+  std::string out;
+  out.reserve(BatchResponseBytes(batch) + 6 * response.resolved.size() +
+              21 * response.shard_versions.size());
+  out.push_back('{');
+  AppendAnswers(&out, batch);
+  out.append(",\"resolved\":");
+  AppendBools(&out, response.resolved);
+  out.append(",\"shard_versions\":[");
   for (size_t i = 0; i < response.shard_versions.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(response.shard_versions[i]);
+    if (i > 0) out.push_back(',');
+    AppendJsonUint(&out, response.shard_versions[i]);
   }
-  out += ']';
-  out += ",\"stats\":{\"probes\":" + std::to_string(batch.stats.probes);
-  out += ",\"unique_probes\":" + std::to_string(batch.stats.unique_probes);
-  out += ",\"cache_hits\":" + std::to_string(batch.stats.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(batch.stats.cache_misses);
-  out += ",\"labels_borrowed\":" + std::to_string(batch.stats.labels_borrowed);
-  out += "}";
-  if (!response.status.ok()) {
-    out += ",\"partial_error\":";
-    out += SerializeError(response.status);
-  }
-  out += '}';
+  out.push_back(']');
+  AppendStats(&out, batch.stats);
+  AppendPartialError(&out, response.status);
+  out.push_back('}');
   return out;
 }
 
 std::string JsonWire::SerializePathResponse(
     const engine::PoolPathResponse& response) {
   const engine::PathQueryResponse& path = response.result.value();
-  std::string out = "{\"count\":" + std::to_string(path.count);
-  out += ",\"matches\":[";
+  // A typical match: 43 bytes of keys and punctuation, a short distance
+  // and score, six bytes per binding. Longer ones cost one regrowth;
+  // reserving the worst case (~70 + 11 per binding) would hold half
+  // again the memory for every large response.
+  size_t bytes = 128;
+  for (const query::PathMatch& match : path.matches) {
+    bytes += 56 + 6 * match.bindings.size();
+  }
+  std::string out;
+  out.reserve(bytes);
+  out.push_back('{');
+  AppendUintField(&out, "count", path.count, /*first=*/true);
+  out.append(",\"matches\":[");
   for (size_t i = 0; i < path.matches.size(); ++i) {
     const query::PathMatch& match = path.matches[i];
-    if (i > 0) out += ',';
-    out += "{\"bindings\":[";
+    if (i > 0) out.push_back(',');
+    out.append("{\"bindings\":[");
     for (size_t j = 0; j < match.bindings.size(); ++j) {
-      if (j > 0) out += ',';
-      out += std::to_string(match.bindings[j]);
+      if (j > 0) out.push_back(',');
+      AppendJsonUint(&out, match.bindings[j]);
     }
-    out += "],\"total_distance\":" + std::to_string(match.total_distance);
-    out += ",\"score\":" + JsonNumber(match.score);
-    out += '}';
+    out.push_back(']');
+    AppendUintField(&out, "total_distance", match.total_distance);
+    out.append(",\"score\":");
+    AppendJsonNumber(&out, match.score);
+    out.push_back('}');
   }
-  out += "],\"snapshot_version\":" + std::to_string(response.snapshot_version);
-  out += ",\"delta_generation\":" + std::to_string(response.delta_generation);
-  out += ",\"worker\":" + std::to_string(response.worker);
-  out += '}';
+  out.push_back(']');
+  AppendUintField(&out, "snapshot_version", response.snapshot_version);
+  AppendUintField(&out, "delta_generation", response.delta_generation);
+  AppendUintField(&out, "worker", response.worker);
+  out.push_back('}');
   return out;
 }
 

@@ -47,7 +47,9 @@ class JsonWire {
   const WireLimits& limits() const { return limits_; }
 
   /// Body schema: {"pairs": [[u, v], ...], "want_distances": bool?}.
-  /// Node ids must be integers in [0, num_elements).
+  /// Node ids must be integers in [0, num_elements). Decoded in one
+  /// pass over the body's tokens, without a JSON tree; the first
+  /// problem in the body is the one reported.
   Result<engine::BatchRequest> ParseBatchRequest(std::string_view body,
                                                  uint64_t num_elements) const;
 

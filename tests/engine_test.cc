@@ -314,6 +314,51 @@ TEST_F(QueryEngineFixture, BatchDedupesRepeatedProbes) {
   // LOUT(u) decodes once and is reused within the batch.
   EXPECT_GE(r.stats.cache_hits, non_reflexive - 1);
   EXPECT_EQ(r.stats.backend_probes, 0u);
+
+  // A wide batch over few distinct pairs: 4,096 probes drawn from 64
+  // pairs, among them reflexive probes, the first and last ids, and
+  // pairs whose 64-bit keys ((u << 32) | v) agree in their low 32 bits
+  // or differ only there.
+  const auto n = static_cast<NodeId>(c_.NumElements());
+  std::vector<NodePair> distinct;
+  auto add = [&](NodePair p) {
+    if (distinct.size() < 64 &&
+        std::find(distinct.begin(), distinct.end(), p) == distinct.end()) {
+      distinct.push_back(p);
+    }
+  };
+  for (NodePair p : std::vector<NodePair>{
+           {0, 0}, {n - 1, n - 1}, {0, n - 1}, {n - 1, 0}, {5, 5}, {u, u}}) {
+    add(p);
+  }
+  for (NodeId k = 1; distinct.size() < 40; ++k) {
+    add({k, 3});  // same low half, u varies
+    add({3 + k, 4 + k});
+  }
+  for (NodeId k = 0; distinct.size() < 64; ++k) {
+    add({9, (k * 7) % n});  // same high half, v varies
+  }
+  Rng rng(4096);
+  std::vector<NodePair> wide;
+  for (const NodePair& p : distinct) wide.push_back(p);  // each at least once
+  while (wide.size() < 4096) {
+    wide.push_back(distinct[rng.NextBounded(distinct.size())]);
+  }
+  for (const auto& e : engines_) {
+    BatchResponse w = e->Batch({.pairs = wide, .want_distances = true});
+    ASSERT_TRUE(w.error.ok()) << w.error;
+    EXPECT_EQ(w.stats.probes, 4096u);
+    EXPECT_EQ(w.stats.unique_probes, 64u) << e->backend().Name();
+    ASSERT_EQ(w.reachable.size(), wide.size());
+    ASSERT_EQ(w.distances.size(), wide.size());
+    for (size_t i = 0; i < wide.size(); ++i) {
+      auto [a, b] = wide[i];
+      ASSERT_EQ(w.reachable[i], closure_->IsReachable(a, b))
+          << e->backend().Name() << " probe " << i << ": " << a << "->" << b;
+      ASSERT_EQ(w.distances[i], closure_->Distance(a, b))
+          << e->backend().Name() << " probe " << i << ": " << a << "->" << b;
+    }
+  }
 }
 
 TEST_F(QueryEngineFixture, HopiBackendBorrowsLabelsZeroCopy) {

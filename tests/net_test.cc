@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "net/service.h"
 #include "net/wire.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace hopi::net {
 namespace {
@@ -250,6 +255,59 @@ TEST(JsonTest, StrictRejects) {
   }
 }
 
+TEST(JsonTest, NumbersMatchCLocaleStrtod) {
+  // The test process runs in the C locale, where strtod is the
+  // reference: every value must come back bit for bit.
+  const char* const corpus[] = {
+      "0", "-0", "-0.0", "0e5", "1", "-1", "0.25", "1.5", "1e0", "1E+2",
+      "10e-1", "123456.789", "0.1", "0.30000000000000004",
+      "12345678901234567", "9007199254740993", "1.2345678901234567e-5",
+      "2.2250738585072014e-308",   // smallest normal
+      "2.2250738585072011e-308",   // largest subnormal, rounded
+      "4.9406564584124654e-324",   // smallest subnormal
+      "2.4703282292062328e-324",   // rounds up to it
+      "2.4703282292062327e-324",   // rounds down to zero
+      "1e-400", "-1e-400", "0.0000001e-320", "1e308",
+      "1.7976931348623157e308", "-1.7976931348623157e308",
+      "123456789012345678901234567890", "1e-99999999999999999999",
+  };
+  for (const char* text : corpus) {
+    auto v = ParseJson(text);
+    ASSERT_TRUE(v.ok()) << text << ": " << v.status();
+    const double want = std::strtod(text, nullptr);
+    const double got = v->AsNumber();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << text << ": got " << got << ", strtod " << want;
+  }
+  // Past DBL_MAX strtod overflows to infinity, which JSON cannot hold.
+  for (const char* text : {"1e309", "-1.7976931348623159e308", "1e99999999"}) {
+    EXPECT_FALSE(ParseJson(text).ok()) << text;
+  }
+}
+
+TEST(JsonTest, AppendJsonNumberMatchesPrintf) {
+  // "%.10g" in the C locale is the reference for every double the
+  // writer emits; sweep magnitudes, fractions and integers.
+  Rng rng(20261019);
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.5, 1.0 / 3, 2.5e-7,
+                                123456.789, 1e21, 1e-5, 9999999999.5,
+                                4294967295.0, 5e-324, 1.7976931348623157e308};
+  for (int i = 0; i < 20000; ++i) {
+    double mantissa = static_cast<double>(rng.NextBounded(1u << 30)) /
+                      static_cast<double>(1u << 30);
+    int exponent = static_cast<int>(rng.NextBounded(80)) - 40;
+    values.push_back((i % 2 ? -1 : 1) * std::ldexp(mantissa, exponent));
+    values.push_back(1.0 / (1.0 + static_cast<double>(rng.NextBounded(64))));
+  }
+  for (double v : values) {
+    char want[32];
+    std::snprintf(want, sizeof(want), "%.10g", v);
+    EXPECT_EQ(JsonNumber(v), want);
+  }
+  EXPECT_EQ(JsonNumber(std::nan("")), "0");
+  EXPECT_EQ(JsonNumber(-HUGE_VAL), "0");
+}
+
 TEST(JsonTest, DepthLimitStopsDeepNesting) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
@@ -327,6 +385,55 @@ TEST(JsonWireTest, ErrorEnvelopeEscapesTheMessage) {
             "\"message\":\"bad \\\"field\\\"\\nline2\"}}");
   // The envelope itself must be valid JSON.
   EXPECT_TRUE(ParseJson(body).ok());
+}
+
+TEST(JsonWireTest, PathResponseGoldenBytes) {
+  engine::PathQueryResponse path;
+  path.matches = {
+      {.bindings = {0, 4294967295u}, .total_distance = 0, .score = 1.0},
+      {.bindings = {7, 8, 9}, .total_distance = 1, .score = 0.5},
+      {.bindings = {4294967294u, 1}, .total_distance = 2, .score = 1.0 / 3},
+      {.bindings = {12}, .total_distance = 4294967295u, .score = 2.5e-7},
+      {.bindings = {3, 4}, .total_distance = 17, .score = 123456.789},
+  };
+  path.count = path.matches.size();
+  const engine::PoolPathResponse response{.result = std::move(path),
+                                          .snapshot_version = 42,
+                                          .delta_generation = 3,
+                                          .worker = 1};
+  EXPECT_EQ(JsonWire::SerializePathResponse(response),
+            "{\"count\":5,\"matches\":["
+            "{\"bindings\":[0,4294967295],\"total_distance\":0,\"score\":1},"
+            "{\"bindings\":[7,8,9],\"total_distance\":1,\"score\":0.5},"
+            "{\"bindings\":[4294967294,1],\"total_distance\":2,"
+            "\"score\":0.3333333333},"
+            "{\"bindings\":[12],\"total_distance\":4294967295,"
+            "\"score\":2.5e-07},"
+            "{\"bindings\":[3,4],\"total_distance\":17,\"score\":123456.789}"
+            "],\"snapshot_version\":42,\"delta_generation\":3,\"worker\":1}");
+}
+
+TEST(JsonWireTest, BatchResponseGoldenBytes) {
+  engine::PoolBatchResponse response;
+  response.batch.reachable = {true, false, true};
+  response.batch.distances = {0u, std::nullopt, 3u};
+  response.batch.stats.probes = 3;
+  response.batch.stats.unique_probes = 2;
+  response.batch.stats.cache_hits = 1;
+  response.batch.stats.cache_misses = 4;
+  response.batch.stats.labels_borrowed = 5;
+  response.batch.error = Status::DeadlineExceeded("deadline \"hit\"");
+  response.snapshot_version = 18446744073709551615u;
+  response.delta_generation = 0;
+  response.worker = 2;
+  EXPECT_EQ(JsonWire::SerializeBatchResponse(response),
+            "{\"reachable\":[true,false,true],\"distances\":[0,null,3],"
+            "\"snapshot_version\":18446744073709551615,"
+            "\"delta_generation\":0,\"worker\":2,"
+            "\"stats\":{\"probes\":3,\"unique_probes\":2,\"cache_hits\":1,"
+            "\"cache_misses\":4,\"labels_borrowed\":5},"
+            "\"partial_error\":{\"error\":{\"code\":\"DeadlineExceeded\","
+            "\"message\":\"deadline \\\"hit\\\"\"}}}");
 }
 
 // ---- end-to-end over real sockets ----

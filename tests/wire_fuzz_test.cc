@@ -1,6 +1,7 @@
 // Seeded malformed-input fuzzer for the serving front-end's two
 // parsers — the HttpParser and the JSON wire (ParseJson +
-// JsonWire::Parse*Request). The mirror of format_fuzz_test.cc for the
+// JsonWire::Parse*Request) — plus a differential test pinning the
+// single-pass /v1/batch decoder to the tree-then-walk reference. The mirror of format_fuzz_test.cc for the
 // network boundary: every attacker-controlled byte stream must come
 // back as a typed, structured reject (4xx-mapped Status), never a
 // crash, hang, or silent mis-parse.
@@ -18,8 +19,11 @@
 // memory-safety proof for the parsing layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/engine_pool.h"
@@ -308,26 +312,28 @@ TEST(WireFuzzTest, RandomGarbageAndAlmostJsonAreSafe) {
   }
 }
 
+// Parse as JSON, fail the batch or path schema.
+const char* const kWrongShapedBodies[] = {
+    "3",
+    "[]",
+    "\"pairs\"",
+    R"({"pairs":3})",
+    R"({"pairs":[3]})",
+    R"({"pairs":[[1,2,3]]})",
+    R"({"pairs":[["0","1"]]})",
+    R"({"pairs":[[0,1]],"want_distances":"yes"})",
+    R"({"pairs":[[1e18,0]]})",
+    R"({"expression":3})",
+    R"({"expression":"//a","max_matches":-2})",
+    R"({"expression":"//a","max_matches":1.5})",
+    R"({"expression":"//a","unknown":1})",
+};
+
 TEST(WireFuzzTest, WrongShapedValidJsonGetsTypedRejects) {
-  // Parses as JSON, fails the schema: must be InvalidArgument with a
-  // non-empty message, never OK, never a crash.
+  // Must be InvalidArgument with a non-empty message, never OK, never
+  // a crash.
   JsonWire wire;
-  const char* const cases[] = {
-      "3",
-      "[]",
-      "\"pairs\"",
-      R"({"pairs":3})",
-      R"({"pairs":[3]})",
-      R"({"pairs":[[1,2,3]]})",
-      R"({"pairs":[["0","1"]]})",
-      R"({"pairs":[[0,1]],"want_distances":"yes"})",
-      R"({"pairs":[[1e18,0]]})",
-      R"({"expression":3})",
-      R"({"expression":"//a","max_matches":-2})",
-      R"({"expression":"//a","max_matches":1.5})",
-      R"({"expression":"//a","unknown":1})",
-  };
-  for (const char* c : cases) {
+  for (const char* c : kWrongShapedBodies) {
     auto batch = wire.ParseBatchRequest(c, 100);
     auto path = wire.ParsePathRequest(c);
     EXPECT_FALSE(batch.ok() && path.ok()) << c;
@@ -339,6 +345,279 @@ TEST(WireFuzzTest, WrongShapedValidJsonGetsTypedRejects) {
       EXPECT_TRUE(path.status().IsInvalidArgument()) << c;
     }
   }
+}
+
+// ---- /v1/batch decoder differential ----
+
+/// The tree-then-walk batch decode JsonWire::ParseBatchRequest used
+/// before it read tokens directly: ParseJson, then a walk over the
+/// tree. Kept as the reference the single-pass decoder must agree with.
+Result<engine::BatchRequest> ReferenceParseBatchRequest(
+    std::string_view body, uint64_t num_elements, const WireLimits& limits) {
+  auto get_uint = [](const JsonValue& v, std::string_view field,
+                     uint64_t max, uint64_t* out) -> Status {
+    if (!v.is_number()) {
+      return Status::InvalidArgument(std::string(field) + " must be a number");
+    }
+    double d = v.AsNumber();
+    if (d < 0 || d > static_cast<double>(max) || d != std::floor(d)) {
+      return Status::InvalidArgument(std::string(field) + " out of range");
+    }
+    *out = static_cast<uint64_t>(d);
+    return Status::OK();
+  };
+  HOPI_ASSIGN_OR_RETURN(JsonValue root, ParseJson(body, limits.json));
+  if (!root.is_object()) {
+    return Status::InvalidArgument("request body must be a JSON object");
+  }
+  const JsonValue* pairs = root.Find("pairs");
+  if (pairs == nullptr || !pairs->is_array()) {
+    return Status::InvalidArgument("\"pairs\" must be an array of [u, v]");
+  }
+  engine::BatchRequest request;
+  if (pairs->AsArray().size() > limits.max_pairs) {
+    return Status::InvalidArgument("\"pairs\" over the wire limit");
+  }
+  if (!pairs->AsArray().empty() && num_elements == 0) {
+    return Status::InvalidArgument("the serving collection has no elements");
+  }
+  for (const JsonValue& pair : pairs->AsArray()) {
+    if (!pair.is_array() || pair.AsArray().size() != 2) {
+      return Status::InvalidArgument("pair shape");
+    }
+    uint64_t u = 0;
+    uint64_t v = 0;
+    HOPI_RETURN_NOT_OK(
+        get_uint(pair.AsArray()[0], "pair source", num_elements - 1, &u));
+    HOPI_RETURN_NOT_OK(
+        get_uint(pair.AsArray()[1], "pair target", num_elements - 1, &v));
+    request.pairs.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
+  }
+  for (const auto& [key, value] : root.AsObject()) {
+    if (key == "pairs") continue;
+    if (key == "want_distances" && value.is_bool()) {
+      request.want_distances = value.AsBool();
+      continue;
+    }
+    return Status::InvalidArgument("bad field \"" + key + "\"");
+  }
+  return request;
+}
+
+constexpr uint64_t kDiffElements = 1000;
+
+/// Both decoders on one body: same acceptance, same pairs, same
+/// want_distances; when both reject, both say InvalidArgument. Returns
+/// whether the reference accepted the body.
+bool ExpectDecodersAgree(const std::string& body,
+                         const WireLimits& limits = {},
+                         uint64_t num_elements = kDiffElements) {
+  auto got = JsonWire(limits).ParseBatchRequest(body, num_elements);
+  auto want = ReferenceParseBatchRequest(body, num_elements, limits);
+  EXPECT_EQ(got.ok(), want.ok())
+      << "body: " << body << "\n decoder: "
+      << (got.ok() ? std::string("ok") : got.status().ToString())
+      << "\n reference: "
+      << (want.ok() ? std::string("ok") : want.status().ToString());
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(got->pairs, want->pairs) << body;
+    EXPECT_EQ(got->want_distances, want->want_distances) << body;
+  } else if (!got.ok() && !want.ok()) {
+    EXPECT_TRUE(got.status().IsInvalidArgument()) << body;
+    EXPECT_TRUE(want.status().IsInvalidArgument()) << body;
+  }
+  return want.ok();
+}
+
+TEST(WireDifferentialTest, ValidBodiesTruncatedAndFlipped) {
+  Rng rng(kSeed + 9);
+  for (const char* valid : kValidBodies) {
+    std::string body(valid);
+    for (size_t len = 0; len <= body.size(); ++len) {
+      ExpectDecodersAgree(body.substr(0, len));
+    }
+    for (size_t pos = 0; pos < body.size(); ++pos) {
+      for (int round = 0; round < 4; ++round) {
+        std::string mutated = body;
+        mutated[pos] = static_cast<char>(rng.NextBounded(256));
+        ExpectDecodersAgree(mutated);
+      }
+    }
+  }
+  for (const char* c : kWrongShapedBodies) ExpectDecodersAgree(c);
+}
+
+TEST(WireDifferentialTest, WhitespaceAtEveryTokenGap) {
+  // {"want_distances":true,"pairs":[[0,1],[998,999]]} as tokens.
+  const std::vector<std::string> tokens = {
+      "{", "\"want_distances\"", ":", "true", ",", "\"pairs\"", ":", "[",
+      "[", "0", ",", "1", "]", ",", "[", "998", ",", "999", "]", "]", "}"};
+  const char* const spaces[] = {" ", "\t", "\n", "\r\n  ", "\f", "\v"};
+  for (size_t gap = 0; gap <= tokens.size(); ++gap) {
+    for (const char* space : spaces) {
+      std::string body;
+      for (size_t t = 0; t < tokens.size(); ++t) {
+        if (t == gap) body += space;
+        body += tokens[t];
+      }
+      if (gap == tokens.size()) body += space;
+      ExpectDecodersAgree(body);
+    }
+  }
+}
+
+TEST(WireDifferentialTest, KeysNumbersLimitsAndTrailingBytes) {
+  const std::string deep = std::string(40, '[') + std::string(40, ']');
+  const std::vector<std::string> bodies = {
+      // Member order, escaped keys, duplicates, unknown fields.
+      R"({"want_distances":false,"pairs":[[1,2]]})",
+      R"({"pairs":[[0,1]]})",
+      R"({"pairs":[[3,4]],"want_distances":true})",
+      R"({"pairs ":[]})",
+      R"({"pairs":[],"pairs":[]})",
+      R"({"pairs":[[0,1]],"pairs":[]})",
+      R"({"want_distances":true,"want_distances":true,"pairs":[]})",
+      R"({"pairs":[],"x":1})",
+      R"({"x":1,"pairs":[]})",
+      R"({"pairs":[],"want_distances":null})",
+      R"({"pairs":[],"want_distances":1})",
+      R"({"want_distances":true})",
+      R"({})",
+      // An over-deep value inside an unknown field, before and after.
+      std::string("{\"pairs\":[],\"x\":") + deep + "}",
+      std::string("{\"x\":") + deep + ",\"pairs\":[]}",
+      // Integral spellings and near misses.
+      R"({"pairs":[[1.0,1e0]]})",
+      R"({"pairs":[[-0,0.0]]})",
+      R"({"pairs":[[-0.0e5,10e-1]]})",
+      R"({"pairs":[[1E+2,5e-400]]})",
+      R"({"pairs":[[01,1]]})",
+      R"({"pairs":[[1,01]]})",
+      R"({"pairs":[[1.5,1]]})",
+      R"({"pairs":[[-1,1]]})",
+      R"({"pairs":[[1,1e400]]})",
+      R"({"pairs":[[10000000000000000000e-19,1]]})",
+      R"({"pairs":[[0.00000000000000000001e20,1]]})",
+      // Id range: n-1, n, 10+ digits, 2^53+1.
+      R"({"pairs":[[999,999]]})",
+      R"({"pairs":[[1000,0]]})",
+      R"({"pairs":[[0,1000]]})",
+      R"({"pairs":[[12345678901,0]]})",
+      R"({"pairs":[[0,9007199254740993]]})",
+      R"({"pairs":[[99999999999999999999999,0]]})",
+      // Structure.
+      R"({"pairs":[[0,1],]})",
+      R"({"pairs":[[0,1]],})",
+      R"({"pairs":[[0 1]]})",
+      R"({"pairs":[[0,1],[2]]})",
+      R"({"pairs":[[],[0,1]]})",
+      R"({"pairs":[[0,[1]]]})",
+      R"({"pairs":[{"0":1}]})",
+      R"({"pairs":{}})",
+      R"({"pairs":null})",
+      // Trailing bytes.
+      R"({"pairs":[]} )",
+      R"({"pairs":[]} x)",
+      R"({"pairs":[]}])",
+      R"({"pairs":[]}{})",
+      std::string(R"({"pairs":[]})") + '\0',
+  };
+  for (const std::string& body : bodies) ExpectDecodersAgree(body);
+
+  // The pair limit and the element and depth limits, straddled.
+  WireLimits limits;
+  limits.max_pairs = 4;
+  for (size_t count = 0; count <= 6; ++count) {
+    std::string body = "{\"pairs\":[";
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) body += ',';
+      // Appends, not "[" + std::string: GCC 12 at -O3 reports a false
+      // -Wrestrict on the latter.
+      body += '[';
+      body += std::to_string(i);
+      body += ',';
+      body += std::to_string(i + 1);
+      body += ']';
+    }
+    body += "]}";
+    ExpectDecodersAgree(body, limits);
+    for (size_t elements : {0, 1, 3, 4, 6, 7, 12, 13}) {
+      WireLimits tight;
+      tight.json.max_elements = elements;
+      ExpectDecodersAgree(body, tight);
+    }
+    for (size_t depth : {0, 1, 2, 3}) {
+      WireLimits shallow;
+      shallow.json.max_depth = depth;
+      ExpectDecodersAgree(body, shallow);
+    }
+    ExpectDecodersAgree(body, {}, /*num_elements=*/0);
+    ExpectDecodersAgree(body, {}, /*num_elements=*/1);
+  }
+}
+
+TEST(WireDifferentialTest, SeededGeneratedBodies) {
+  Rng rng(kSeed + 10);
+  const char* const ids[] = {"0",    "1",     "999",  "1000", "7",
+                             "1.0",  "1e0",   "-0",   "01",   "1.5",
+                             "2E1",  "-1",    "5e-1", "12345678901",
+                             "9007199254740993", "\"3\"", "null", "[1]"};
+  const char* const spaces[] = {"", "", "", " ", "\n", "\t "};
+  const char* const bools[] = {"true", "false", "null", "\"yes\"", "1",
+                               "tru"};
+  const char* const keys[] = {"\"pairs\"", "\"want_distances\"",
+                              "\"p\\u0061irs\"", "\"other\"", "\"Pairs\""};
+  auto ws = [&] { return std::string(spaces[rng.NextBounded(6)]); };
+  size_t accepted = 0;
+  const size_t rounds = 4000;
+  for (size_t round = 0; round < rounds; ++round) {
+    // Two to three members; "pairs" most of the time, in any order.
+    std::vector<std::string> members;
+    size_t num_members = 1 + rng.NextBounded(3);
+    for (size_t m = 0; m < num_members; ++m) {
+      size_t k = rng.NextBounded(10);
+      const char* key = k < 5 ? keys[0] : k < 8 ? keys[1] : keys[2 + k - 8];
+      if (rng.NextBounded(20) == 0) key = keys[2 + rng.NextBounded(3)];
+      std::string member = ws() + key + ws() + ":" + ws();
+      if (std::string(key) == keys[1]) {
+        member += rng.NextBounded(8) == 0 ? bools[2 + rng.NextBounded(4)]
+                                          : bools[rng.NextBounded(2)];
+      } else {
+        member += "[";
+        size_t count = rng.NextBounded(6);
+        for (size_t i = 0; i < count; ++i) {
+          if (i > 0) member += ws() + "," + ws();
+          auto id = [&] {
+            return rng.NextBounded(6) == 0
+                       ? std::string(ids[rng.NextBounded(std::size(ids))])
+                       : std::to_string(rng.NextBounded(kDiffElements));
+          };
+          for (const std::string& piece :
+               {std::string("["), ws(), id(), ws(), std::string(","), ws(),
+                id(), ws(), std::string("]")}) {
+            member += piece;
+          }
+        }
+        member += ws() + "]";
+      }
+      members.push_back(member + ws());
+    }
+    std::string body = ws() + "{";
+    for (size_t m = 0; m < members.size(); ++m) {
+      if (m > 0) body += ",";
+      body += members[m];
+    }
+    body += '}';
+    body += ws();
+    if (rng.NextBounded(10) == 0) body += "x";
+    WireLimits limits;
+    if (rng.NextBounded(4) == 0) limits.max_pairs = rng.NextBounded(6);
+    accepted += ExpectDecodersAgree(body, limits);
+  }
+  // The corpus exercises both outcomes in bulk.
+  EXPECT_GT(accepted, rounds / 10);
+  EXPECT_LT(accepted, rounds - rounds / 10);
+  std::cout << accepted << " of " << rounds << " generated bodies accepted\n";
 }
 
 TEST(WireFuzzTest, HugeExpressionIsRejectedNotCopied) {
