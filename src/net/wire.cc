@@ -113,19 +113,19 @@ Result<engine::BatchRequest> JsonWire::ParseBatchRequest(
       HOPI_RETURN_NOT_OK(in.CountElement());
       HOPI_RETURN_NOT_OK(in.CheckDepth(1));
       in.SkipWhitespace();
-      bool* seen = key == "pairs"            ? &seen_pairs
-                   : key == "want_distances" ? &seen_want_distances
-                                             : nullptr;
-      if (seen == nullptr) {
-        return Status::InvalidArgument("unknown field \"" + key + "\"");
-      }
-      if (*seen) return in.Fail("duplicate object key '" + key + "'");
-      *seen = true;
-      if (seen == &seen_pairs) {
+      if (key == "pairs") {
+        if (seen_pairs) return in.Fail("duplicate object key 'pairs'");
+        seen_pairs = true;
         HOPI_RETURN_NOT_OK(ReadPairs(&in, body.size(), num_elements,
                                      limits_.max_pairs, &request.pairs));
-      } else {
+      } else if (key == "want_distances") {
+        if (seen_want_distances) {
+          return in.Fail("duplicate object key 'want_distances'");
+        }
+        seen_want_distances = true;
         HOPI_RETURN_NOT_OK(in.ReadBool(key, &request.want_distances));
+      } else {
+        return Status::InvalidArgument("unknown field \"" + key + "\"");
       }
       in.SkipWhitespace();
     } while (in.Consume(','));
