@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <functional>
+#include <numeric>
 
 #include "graph/scc.h"
 #include "graph/traversal.h"
+#include "util/thread_pool.h"
 
 namespace hopi {
 
@@ -142,38 +145,118 @@ size_t IncrementalClosure::MemoryBytes() const {
   return bytes;
 }
 
-DistanceClosure DistanceClosure::Build(const Digraph& g) {
-  DistanceClosure dc;
-  const size_t n = g.NumNodes();
-  dc.rows_.resize(n);
-  dc.reverse_rows_.resize(n);
-  for (NodeId s = 0; s < n; ++s) {
-    std::vector<uint32_t> dist = BfsDistances(g, s);
-    auto& row = dc.rows_[s];
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != s && dist[v] != kUnreachable) {
-        row.push_back({v, dist[v]});
+namespace {
+
+/// One worker's BFS state. dist[v] is kUnreachable except at the nodes
+/// of the current search, which `visited` lists in BFS order (it is the
+/// queue too), so a reset costs the search, not n. `visited` is reserved
+/// to n up front: a search visits each node once, so it never grows.
+struct BfsScratch {
+  explicit BfsScratch(size_t n) : dist(n, kUnreachable) { visited.reserve(n); }
+  std::vector<uint32_t> dist;
+  std::vector<NodeId> visited;
+};
+
+/// BFS from s: leaves s and its strict descendants in scratch->visited
+/// (s first) with their distances in scratch->dist.
+void Search(const Digraph& g, NodeId s, BfsScratch* scratch) {
+  std::vector<uint32_t>& dist = scratch->dist;
+  std::vector<NodeId>& visited = scratch->visited;
+  visited.clear();
+  visited.push_back(s);
+  dist[s] = 0;
+  for (size_t head = 0; head < visited.size(); ++head) {
+    const NodeId v = visited[head];
+    const uint32_t next = dist[v] + 1;
+    for (NodeId w : g.OutNeighbors(v)) {
+      if (dist[w] == kUnreachable) {
+        dist[w] = next;
+        visited.push_back(w);
       }
     }
-    dc.num_connections_ += row.size();
   }
-  for (NodeId s = 0; s < n; ++s) {
-    for (const DistConnection& c : dc.rows_[s]) {
-      dc.reverse_rows_[c.node].push_back({s, c.dist});
+}
+
+void Reset(BfsScratch* scratch) {
+  for (NodeId v : scratch->visited) scratch->dist[v] = kUnreachable;
+}
+
+/// Runs fn(s, scratch) for every source s, over the pool when there is
+/// one; `scratch` holds one entry per pool worker.
+void ForEachSource(size_t n, ThreadPool* pool,
+                   std::vector<BfsScratch>& scratch,
+                   const std::function<void(NodeId, BfsScratch*)>& fn) {
+  if (pool == nullptr) {
+    for (NodeId s = 0; s < n; ++s) fn(s, &scratch[0]);
+    return;
+  }
+  Status status = pool->ParallelFor(0, n, [&](size_t s, size_t worker) {
+    fn(static_cast<NodeId>(s), &scratch[worker]);
+    return Status::OK();
+  });
+  assert(status.ok());
+  (void)status;
+}
+
+}  // namespace
+
+DistanceClosure DistanceClosure::Build(const Digraph& g, ThreadPool* pool) {
+  DistanceClosure dc;
+  const size_t n = g.NumNodes();
+  std::vector<BfsScratch> scratch;
+  const size_t workers = pool != nullptr ? pool->NumWorkers() : 1;
+  scratch.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) scratch.emplace_back(n);
+
+  // Pass 1: row lengths, stored one slot up so the prefix sum turns them
+  // into row offsets in place.
+  dc.offsets_.assign(n + 1, 0);
+  ForEachSource(n, pool, scratch, [&](NodeId s, BfsScratch* bfs) {
+    Search(g, s, bfs);
+    dc.offsets_[s + 1] = bfs->visited.size() - 1;
+    Reset(bfs);
+  });
+  std::partial_sum(dc.offsets_.begin(), dc.offsets_.end(),
+                   dc.offsets_.begin());
+
+  // Pass 2: each source fills its own slice and sorts it by target.
+  dc.entries_.resize(dc.offsets_[n]);
+  ForEachSource(n, pool, scratch, [&](NodeId s, BfsScratch* bfs) {
+    Search(g, s, bfs);
+    DistConnection* row = dc.entries_.data() + dc.offsets_[s];
+    for (size_t i = 1; i < bfs->visited.size(); ++i) {
+      const NodeId v = bfs->visited[i];
+      row[i - 1] = {v, bfs->dist[v]};
     }
-  }
-  for (auto& row : dc.reverse_rows_) {
-    std::sort(row.begin(), row.end(),
+    std::sort(row, row + (bfs->visited.size() - 1),
               [](const DistConnection& a, const DistConnection& b) {
                 return a.node < b.node;
               });
+    Reset(bfs);
+  });
+
+  // Reverse rows by a counting sort over the targets; filling in source
+  // order leaves every reverse row sorted by source.
+  dc.reverse_offsets_.assign(n + 1, 0);
+  for (const DistConnection& c : dc.entries_) {
+    ++dc.reverse_offsets_[c.node + 1];
+  }
+  std::partial_sum(dc.reverse_offsets_.begin(), dc.reverse_offsets_.end(),
+                   dc.reverse_offsets_.begin());
+  dc.reverse_entries_.resize(dc.entries_.size());
+  std::vector<uint64_t> next(dc.reverse_offsets_.begin(),
+                             dc.reverse_offsets_.end() - 1);
+  for (NodeId s = 0; s < n; ++s) {
+    for (const DistConnection& c : dc.Row(s)) {
+      dc.reverse_entries_[next[c.node]++] = {s, c.dist};
+    }
   }
   return dc;
 }
 
 std::optional<uint32_t> DistanceClosure::Dist(NodeId u, NodeId v) const {
   if (u == v) return 0;
-  const auto& row = rows_[u];
+  const std::span<const DistConnection> row = Row(u);
   auto it = std::lower_bound(row.begin(), row.end(), v,
                              [](const DistConnection& c, NodeId id) {
                                return c.node < id;
@@ -197,7 +280,7 @@ void DistanceClosure::DistBatch(std::span<const NodeId> us,
     const size_t lanes = std::min(kLanes, us.size() - first);
     size_t longest = 1;
     for (size_t l = 0; l < lanes; ++l) {
-      const auto& row = rows_[us[first + l]];
+      const std::span<const DistConnection> row = Row(us[first + l]);
       const bool search = us[first + l] != vs[first + l] && !row.empty();
       base[l] = search ? row.data() : &kNoRow;
       len[l] = search ? row.size() : 1;

@@ -20,6 +20,8 @@
 
 namespace hopi {
 
+class ThreadPool;
+
 /// Materialized closure with per-source descendant rows (bitsets) and
 /// per-target ancestor rows.
 class TransitiveClosure {
@@ -105,14 +107,26 @@ struct DistConnection {
 };
 
 /// All-pairs shortest distances restricted to connected pairs, stored as
-/// per-source sorted (target, dist) vectors. Input to the distance-aware
-/// cover construction (paper Sec 5.2).
+/// per-source rows sorted by target in one flat CSR (n + 1 offsets and
+/// one entry array), plus the per-target reverse rows in a second one.
+/// Input to the distance-aware cover construction (paper Sec 5.2).
 class DistanceClosure {
  public:
-  static DistanceClosure Build(const Digraph& g);
+  /// One BFS per source, output-sensitive: it touches only the nodes it
+  /// visits (scratch is reset through the visited list, and only the
+  /// visited nodes are sorted), so a source with a short row costs its
+  /// row, not n. With a pool the sources run in parallel, in two passes
+  /// (count the rows, then fill them in place). Every array, the
+  /// per-worker scratch included, is allocated by the calling thread, so
+  /// the workers never grow a malloc arena of their own. Reverse rows
+  /// come from a counting sort in source order. The result does not
+  /// depend on the pool.
+  static DistanceClosure Build(const Digraph& g, ThreadPool* pool = nullptr);
 
-  size_t NumNodes() const { return rows_.size(); }
-  uint64_t NumConnections() const { return num_connections_; }
+  size_t NumNodes() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  uint64_t NumConnections() const { return entries_.size(); }
 
   /// Shortest distance u -> v, or nullopt when unconnected. Dist(u,u)==0.
   std::optional<uint32_t> Dist(NodeId u, NodeId v) const;
@@ -131,17 +145,26 @@ class DistanceClosure {
                  std::span<uint32_t> out) const;
 
   /// Strict descendants of u with distances, sorted by node id.
-  const std::vector<DistConnection>& Row(NodeId u) const { return rows_[u]; }
+  std::span<const DistConnection> Row(NodeId u) const {
+    return RowOf(offsets_, entries_, u);
+  }
 
   /// Strict ancestors of v with distances, sorted by node id.
-  const std::vector<DistConnection>& ReverseRow(NodeId v) const {
-    return reverse_rows_[v];
+  std::span<const DistConnection> ReverseRow(NodeId v) const {
+    return RowOf(reverse_offsets_, reverse_entries_, v);
   }
 
  private:
-  std::vector<std::vector<DistConnection>> rows_;
-  std::vector<std::vector<DistConnection>> reverse_rows_;
-  uint64_t num_connections_ = 0;
+  static std::span<const DistConnection> RowOf(
+      const std::vector<uint64_t>& offsets,
+      const std::vector<DistConnection>& entries, NodeId u) {
+    return std::span(entries).subspan(offsets[u], offsets[u + 1] - offsets[u]);
+  }
+
+  std::vector<uint64_t> offsets_;  // row u is entries_[offsets_[u], [u+1])
+  std::vector<DistConnection> entries_;
+  std::vector<uint64_t> reverse_offsets_;
+  std::vector<DistConnection> reverse_entries_;
 };
 
 }  // namespace hopi

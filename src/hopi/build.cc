@@ -26,34 +26,6 @@ void AggregateStats(const twohop::CoverBuildStats& part,
   total->greedy_seconds += part.greedy_seconds;
 }
 
-/// Splits the thread budget between partition-level workers and
-/// intra-partition cover threads: `outer` partition builds run
-/// concurrently, partition p's build uses the returned inner count, and
-/// the leftover budget (threads % outer, nonzero only when there are
-/// fewer partitions than threads) goes to the partitions with the most
-/// elements — the ones that cap the covers phase. Worker p participates
-/// in its own inner pool, so at most `threads` OS threads run at once.
-std::vector<size_t> SplitThreadBudget(size_t threads, size_t outer,
-                                      const std::vector<size_t>& part_sizes) {
-  const size_t parts = part_sizes.size();
-  std::vector<size_t> inner(parts, outer == 0 ? 1 : threads / outer);
-  size_t extra = outer == 0 ? 0 : threads % outer;
-  if (extra > 0) {
-    std::vector<size_t> by_size(parts);
-    std::iota(by_size.begin(), by_size.end(), size_t{0});
-    std::sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
-      if (part_sizes[a] != part_sizes[b]) {
-        return part_sizes[a] > part_sizes[b];
-      }
-      return a < b;
-    });
-    for (size_t rank = 0; rank < extra && rank < parts; ++rank) {
-      ++inner[by_size[rank]];
-    }
-  }
-  return inner;
-}
-
 }  // namespace
 
 Result<HopiIndex> BuildIndex(collection::Collection* collection,
@@ -64,6 +36,7 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   Stopwatch total_watch;
 
   const size_t threads = std::max<size_t>(options.num_threads, 1);
+  stats->num_threads = threads;
   twohop::CoverBuildOptions cover_options;
   cover_options.with_distance = options.with_distance;
 
@@ -78,6 +51,7 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
     if (!cover.ok()) return cover.status();
     stats->covers_seconds = watch.ElapsedSeconds();
     stats->num_partitions = 1;
+    stats->partitions_in_turn = 1;
     AggregateStats(cb, &stats->cover_build);
     stats->total_partition_connections = cb.initial_connections;
     stats->largest_partition_connections = cb.initial_connections;
@@ -113,14 +87,17 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   }
 
   // --- Step 2: per-partition covers (local ids, translated to global) ---
-  // Partition covers are independent; they are built over a thread pool
-  // (Sec 4.1: "all these computations can be done concurrently") and
-  // translated into the unified cover serially. The budget is split:
-  // `outer` pool workers across partitions, the remainder as
-  // intra-partition threads inside the largest covers (see
-  // SplitThreadBudget). There is a remainder only when there are fewer
-  // partitions than threads; otherwise one fat partition still runs on
-  // one thread and caps the phase.
+  // Partition covers are independent (Sec 4.1: "all these computations
+  // can be done concurrently"), but one partition can hold most of the
+  // connections and cap the phase on one thread. So a partition holding
+  // at least 1/threads of the elements is built in turn on the calling
+  // thread, largest first, with the whole budget inside: its closure and
+  // seeding run in parallel, its greedy loop stays sequential
+  // (speculation_batch = 1; speculative scratch per worker costs more
+  // memory than it saves time). Keeping these builds off pool workers
+  // also keeps their large scratch out of per-thread malloc arenas. The
+  // other partitions run across an outer pool, one thread each. Covers
+  // are translated into the unified cover serially.
   watch.Restart();
   const size_t num_partitions = partitioning->NumPartitions();
   std::vector<Result<twohop::TwoHopCover>> covers(
@@ -134,11 +111,21 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
       part_sizes[p] += collection->ElementsOf(d).size();
     }
   }
-  const size_t outer = std::min(threads, std::max<size_t>(num_partitions, 1));
-  const std::vector<size_t> inner_threads =
-      SplitThreadBudget(threads, outer, part_sizes);
+  const size_t total_elements =
+      std::accumulate(part_sizes.begin(), part_sizes.end(), size_t{0});
+  std::vector<size_t> in_turn;
+  std::vector<size_t> pooled;
+  for (size_t p = 0; p < num_partitions; ++p) {
+    const bool fat = total_elements > 0 &&
+                     part_sizes[p] * threads >= total_elements;
+    (fat ? in_turn : pooled).push_back(p);
+  }
+  std::stable_sort(in_turn.begin(), in_turn.end(), [&](size_t a, size_t b) {
+    return part_sizes[a] > part_sizes[b];
+  });
+  stats->partitions_in_turn = in_turn.size();
 
-  auto build_one = [&](size_t p) -> Status {
+  auto build_one = [&](size_t p, bool whole_budget) -> Status {
     std::vector<NodeId> elements;
     for (collection::DocId d : partitioning->partitions[p]) {
       const auto& els = collection->ElementsOf(d);
@@ -147,7 +134,10 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
     subgraphs[p] =
         BuildInducedSubgraph(collection->ElementGraph(), elements);
     twohop::CoverBuildOptions part_options = cover_options;
-    part_options.num_threads = inner_threads[p];
+    if (whole_budget) {
+      part_options.num_threads = threads;
+      part_options.speculation_batch = 1;
+    }
     for (NodeId global_target : preselect_by_part[p]) {
       NodeId local = subgraphs[p].Local(global_target);
       assert(local != kInvalidNode);
@@ -161,8 +151,13 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
     return covers[p].status();
   };
 
-  ThreadPool partition_pool(outer);
-  HOPI_RETURN_NOT_OK(partition_pool.ParallelFor(0, num_partitions, build_one));
+  for (size_t p : in_turn) HOPI_RETURN_NOT_OK(build_one(p, true));
+  ThreadPool partition_pool(
+      std::min(threads, std::max<size_t>(pooled.size(), 1)));
+  HOPI_RETURN_NOT_OK(
+      partition_pool.ParallelFor(0, pooled.size(), [&](size_t i) {
+        return build_one(pooled[i], false);
+      }));
 
   twohop::TwoHopCover unified(collection->NumElements());
   for (size_t p = 0; p < num_partitions; ++p) {

@@ -40,15 +40,13 @@ struct IndexBuildOptions {
   uint64_t psg_partition_cap = 0;
   /// Total thread budget for the covers phase. Partition covers are
   /// independent ("all these computations can be done concurrently",
-  /// Sec 4.1) and run over a shared pool; when there are fewer
-  /// partitions than threads, the leftover budget moves *inside* the
-  /// largest partitions' cover builds (speculative candidate
-  /// evaluation, see twohop::CoverBuildOptions::num_threads). With at
-  /// least as many partitions as threads every partition gets one
-  /// thread, so a partition holding most connections still caps the
-  /// phase at single-thread speed.
-  /// In `global` mode the whole budget goes to the one cover build.
-  /// The built index is identical for every value.
+  /// Sec 4.1). A partition holding at least 1/num_threads of the
+  /// elements is built in turn on the calling thread, largest first,
+  /// with the whole budget inside its cover build (parallel distance
+  /// closure and priority seeding; the greedy loop stays sequential).
+  /// The other partitions run across a pool of num_threads workers, one
+  /// thread each. In `global` mode the whole budget goes to the one
+  /// cover build. The built index is identical for every value.
   size_t num_threads = 1;
 };
 
@@ -58,6 +56,9 @@ struct IndexBuildStats {
   double join_seconds = 0.0;
   double total_seconds = 0.0;
   uint64_t num_partitions = 0;
+  size_t num_threads = 0;          // thread budget the covers phase had
+  uint64_t partitions_in_turn = 0; // built on the calling thread with the
+                                   // whole budget (see num_threads above)
   uint64_t cross_links = 0;
   uint64_t cover_entries = 0;  // |L| of the final cover
   uint64_t total_partition_connections = 0;  // sum of partition |T|

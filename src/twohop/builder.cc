@@ -249,7 +249,7 @@ class CenterGraphBuilder {
     }
     // Every uncovered (u, v) is a connection, so v is in Row(u) and the
     // cursor stops on it.
-    const std::vector<DistConnection>& dist_row = dc->Row(u);
+    const std::span<const DistConnection> dist_row = dc->Row(u);
     const uint32_t dist_uw = in_side.dists[i];
     size_t cursor = 0;
     row.ForEachIntersection(out_mask_, begin_word_, end_word_, [&](size_t v) {
@@ -269,7 +269,7 @@ class CenterGraphBuilder {
   /// step doubles until it passes v and a binary search finishes the
   /// last one, so a long gap — the walk's first survivor, say — costs
   /// O(log gap) entry reads instead of one per entry skipped.
-  static size_t GallopTo(const std::vector<DistConnection>& row, size_t from,
+  static size_t GallopTo(std::span<const DistConnection> row, size_t from,
                          NodeId v) {
     if (row[from].node >= v) return from;
     size_t lo = from;  // row[lo].node < v throughout
@@ -340,8 +340,8 @@ struct SampleBuffer {
 double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
                                uint32_t max_samples, double confidence,
                                Rng* rng, SampleBuffer* buf) {
-  const auto& anc = dc.ReverseRow(w);
-  const auto& desc = dc.Row(w);
+  const std::span<const DistConnection> anc = dc.ReverseRow(w);
+  const std::span<const DistConnection> desc = dc.Row(w);
   uint64_t a = anc.size();
   uint64_t d = desc.size();
   uint64_t candidates = (a + 1) * (d + 1) - 1;
@@ -388,14 +388,13 @@ double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
 /// builder's index map/mask and the CSR center graph itself are reused
 /// across evaluations so the hot loop stays allocation-light, and owning
 /// one per worker makes the speculation stage share nothing but
-/// read-only state. Priority seeding reuses the sample buffer.
+/// read-only state.
 struct EvalScratch {
   explicit EvalScratch(size_t num_nodes) : cg_builder(num_nodes) {}
   Side in_side;
   Side out_side;
   CenterGraphBuilder cg_builder;
   BipartiteGraph cg;
-  SampleBuffer samples;
 };
 
 /// A candidate's densest-subgraph evaluation, stamped with the version of
@@ -409,30 +408,36 @@ struct CachedEval {
 
 /// The staged cover-construction pipeline (see builder.h for the stage
 /// overview and the determinism argument). One instance per build; the
-/// pool (if any) lives as long as the pipeline. Exactly one closure is
-/// given: the bitset closure `tc` in plain mode, the distance rows `dc`
-/// in distance mode (which then read nothing else).
+/// pool (if any) is the one the closure was built with and outlives the
+/// pipeline. Exactly one closure is given: the bitset closure `tc` in
+/// plain mode, the distance rows `dc` in distance mode (which then read
+/// nothing else).
 class CoverBuildPipeline {
  public:
   CoverBuildPipeline(const TransitiveClosure* tc, const DistanceClosure* dc,
-                     const CoverBuildOptions& options, CoverBuildStats* stats)
+                     ThreadPool* pool, const CoverBuildOptions& options,
+                     CoverBuildStats* stats)
       : tc_(tc),
         dc_(dc),
         options_(options),
         stats_(stats),
         n_(dc != nullptr ? dc->NumNodes() : tc->NumNodes()),
         cover_(n_),
-        uncovered_(dc != nullptr ? UncoveredSet(*dc) : UncoveredSet(*tc)) {
+        uncovered_(dc != nullptr ? UncoveredSet(*dc) : UncoveredSet(*tc)),
+        pool_(pool) {
     assert((tc == nullptr) != (dc == nullptr));
     assert(options.with_distance == (dc != nullptr));
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    size_t workers = pool_ ? pool_->NumWorkers() : 1;
-    scratch_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i) scratch_.emplace_back(n_);
+    const size_t workers = pool_ ? pool_->NumWorkers() : 1;
     batch_limit_ = options_.speculation_batch > 0 ? options_.speculation_batch
                                                   : workers;
+    // Seeding runs on every worker; candidates are evaluated on several
+    // only when a frontier round can hold more than one of them. Each
+    // EvalScratch holds O(n) index arrays, so none is made for a worker
+    // that would never use it.
+    samples_.resize(workers);
+    const size_t evaluators = batch_limit_ > 1 ? workers : 1;
+    scratch_.reserve(evaluators);
+    for (size_t i = 0; i < evaluators; ++i) scratch_.emplace_back(n_);
   }
 
   Result<TwoHopCover> Run() {
@@ -505,7 +510,7 @@ class CoverBuildPipeline {
         Rng node_rng = base.Fork(w);
         priorities[w] = DistanceInitialPriority(
             *dc_, static_cast<NodeId>(w), options_.max_density_samples,
-            options_.density_confidence, &node_rng, &scratch_[worker].samples);
+            options_.density_confidence, &node_rng, &samples_[worker]);
       } else {
         priorities[w] = PlainInitialPriority(
             tc_->AncestorsRow(static_cast<NodeId>(w)).Count(),
@@ -632,6 +637,7 @@ class CoverBuildPipeline {
                                   eval_nodes_.begin(), eval_nodes_.end());
     Status status = Status::OK();
     if (pool_ && eval_nodes_.size() > 1) {
+      assert(scratch_.size() == pool_->NumWorkers());
       status = pool_->ParallelFor(0, eval_nodes_.size(), eval_one);
     } else {
       for (size_t idx = 0; idx < eval_nodes_.size(); ++idx) {
@@ -652,8 +658,9 @@ class CoverBuildPipeline {
 
   TwoHopCover cover_;
   UncoveredSet uncovered_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<EvalScratch> scratch_;
+  ThreadPool* pool_;  // null when the build runs on one thread
+  std::vector<SampleBuffer> samples_;  // one per worker
+  std::vector<EvalScratch> scratch_;   // one per evaluating worker
   size_t batch_limit_ = 1;
 
   std::priority_queue<Candidate> queue_;
@@ -673,15 +680,21 @@ Result<TwoHopCover> BuildCover(const Digraph& g,
   CoverBuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Stopwatch watch;
+  // One pool for the whole build: the distance closure, seeding and
+  // speculation all run on it.
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_threads);
+  }
   if (options.with_distance) {
-    DistanceClosure dc = DistanceClosure::Build(g);
-    CoverBuildPipeline pipeline(nullptr, &dc, options, stats);
+    DistanceClosure dc = DistanceClosure::Build(g, pool.get());
+    CoverBuildPipeline pipeline(nullptr, &dc, pool.get(), options, stats);
     stats->closure_seconds = watch.ElapsedSeconds();
     return pipeline.Run();
   }
   auto tc = TransitiveClosure::Build(g);
   if (!tc.ok()) return tc.status();
-  CoverBuildPipeline pipeline(&*tc, nullptr, options, stats);
+  CoverBuildPipeline pipeline(&*tc, nullptr, pool.get(), options, stats);
   stats->closure_seconds = watch.ElapsedSeconds();
   return pipeline.Run();
 }

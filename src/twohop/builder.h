@@ -40,7 +40,11 @@
 // greedy loop starts.
 //
 // The build is staged so a single partition's cover can use several
-// threads (num_threads > 1) while staying deterministic:
+// threads (num_threads > 1) while staying deterministic. All stages share
+// one ThreadPool, made before the closure:
+//   0. Closure — in distance mode the per-source BFS rows of
+//      DistanceClosure::Build run in parallel over sources (the plain
+//      bitset closure stays sequential).
 //   1. Priority seeding — the per-node initial priority pass (including
 //      the sampled binomial bound in distance mode, which draws from a
 //      per-node Rng::Fork stream) is embarrassingly parallel.
@@ -96,9 +100,10 @@ struct CoverBuildOptions {
   double density_confidence = 0.98;
   uint64_t sample_seed = 0x5EED5EEDULL;
 
-  /// Threads used *inside* this cover build (priority seeding +
-  /// speculative candidate evaluation). 1 = fully sequential. The result
-  /// is bit-identical for every value; see the staging notes above.
+  /// Threads used *inside* this cover build (distance closure, priority
+  /// seeding, speculative candidate evaluation), all on one pool made
+  /// before the closure. 1 = fully sequential. The result is
+  /// bit-identical for every value; see the staging notes above.
   size_t num_threads = 1;
 
   /// Size of the speculatively evaluated priority-queue frontier per

@@ -1,9 +1,10 @@
 // Shared fixed-size thread pool with a dynamically chunked ParallelFor.
 //
-// The build pipeline needs the same parallel shape in two places — the
-// per-partition cover builds in hopi/build.cc and the speculative
-// candidate evaluation inside a single cover build in twohop/builder.cc —
-// so the mechanics live here once: a task-queue pool (no work stealing;
+// The build pipeline needs the same parallel shape in several places —
+// the per-partition cover builds in hopi/build.cc, and the distance
+// closure, priority seeding and speculative candidate evaluation inside
+// a single cover build in twohop/builder.cc — so the mechanics live here
+// once: a task-queue pool (no work stealing;
 // indices are claimed from one atomic counter, which keeps heterogeneous
 // task sizes balanced) with an error channel that replaces the previous
 // ad-hoc std::vector<std::thread> loops, where a throwing worker called
@@ -41,9 +42,7 @@ namespace hopi {
 /// serial loop on the calling thread, preserving the error-channel
 /// semantics. This makes the pool safe to share between a background
 /// build and concurrent overlay BFS probes (engine/delta_overlay.cc);
-/// callers that want guaranteed nested parallelism still use a
-/// separate, smaller pool (see the thread budget split in
-/// hopi/build.cc).
+/// callers that want guaranteed nested parallelism use a separate pool.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

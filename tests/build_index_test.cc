@@ -253,21 +253,33 @@ TEST(BuildIndexGolden, DblpCoversMatchRecordedFingerprints) {
 // builds with): 11 partitions, the largest ~718k connections. At that
 // skew most uncovered rows empty out long before the build ends and the
 // descendant sides span few bitset words, so the survivor walks' row
-// skips and word-range clipping actually occur. Regenerate as above.
+// skips and word-range clipping actually occur. At 4 threads the largest
+// partition is built in turn on the calling thread with every thread
+// inside (parallel closure and seeding) and the rest over the outer
+// pool; the fingerprints must not move. Regenerate as above.
 TEST(BuildIndexGolden, SkewedDblpCoversMatchRecordedFingerprints) {
   Collection c = testing::SmallDblp(300, 42);
-  for (bool with_distance : {false, true}) {
-    IndexBuildOptions options;
-    options.with_distance = with_distance;
-    IndexBuildStats stats;
-    auto index = BuildIndex(&c, options, &stats);
-    ASSERT_TRUE(index.ok()) << index.status();
-    EXPECT_EQ(stats.num_partitions, 11u);
-    const testing::CoverFingerprint expected =
-        with_distance ? testing::CoverFingerprint{13019u, 0x3650f9864ab6e7beULL}
-                      : testing::CoverFingerprint{8966u, 0xbd271d14b3696482ULL};
-    EXPECT_EQ(testing::Fingerprint(index->cover()), expected)
-        << (with_distance ? "distance" : "plain");
+  for (size_t threads : {1u, 4u}) {
+    for (bool with_distance : {false, true}) {
+      IndexBuildOptions options;
+      options.with_distance = with_distance;
+      options.num_threads = threads;
+      IndexBuildStats stats;
+      auto index = BuildIndex(&c, options, &stats);
+      ASSERT_TRUE(index.ok()) << index.status();
+      EXPECT_EQ(stats.num_partitions, 11u);
+      EXPECT_EQ(stats.num_threads, threads);
+      if (threads > 1) {
+        EXPECT_GE(stats.partitions_in_turn, 1u);
+      }
+      const testing::CoverFingerprint expected =
+          with_distance
+              ? testing::CoverFingerprint{13019u, 0x3650f9864ab6e7beULL}
+              : testing::CoverFingerprint{8966u, 0xbd271d14b3696482ULL};
+      EXPECT_EQ(testing::Fingerprint(index->cover()), expected)
+          << (with_distance ? "distance" : "plain") << " at " << threads
+          << " threads";
+    }
   }
 }
 

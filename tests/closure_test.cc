@@ -8,6 +8,7 @@
 #include "graph/closure.h"
 #include "graph/traversal.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace hopi {
 namespace {
@@ -285,6 +286,103 @@ TEST(DistanceClosureTest, DistBatchMatchesDistPairForPair) {
       }
     }
     dc.DistBatch({}, {}, {});  // an empty batch is a no-op
+  }
+}
+
+// The reference DistanceClosure::Build replaced: one full BfsDistances
+// scan per source, then reverse rows by push_back and a per-row sort.
+struct ReferenceRows {
+  std::vector<std::vector<DistConnection>> rows;
+  std::vector<std::vector<DistConnection>> reverse_rows;
+  uint64_t connections = 0;
+};
+
+ReferenceRows BuildReference(const Digraph& g) {
+  const size_t n = g.NumNodes();
+  ReferenceRows ref;
+  ref.rows.resize(n);
+  ref.reverse_rows.resize(n);
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<uint32_t> dist = BfsDistances(g, s);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != s && dist[v] != kUnreachable) {
+        ref.rows[s].push_back({v, dist[v]});
+        ref.reverse_rows[v].push_back({s, dist[v]});
+      }
+    }
+    ref.connections += ref.rows[s].size();
+  }
+  for (auto& row : ref.reverse_rows) {
+    std::sort(row.begin(), row.end(),
+              [](const DistConnection& a, const DistConnection& b) {
+                return a.node < b.node;
+              });
+  }
+  return ref;
+}
+
+// Sparse and dense cyclic digraphs with self-loops, a DAG, isolated
+// nodes and a self-loop-only node: the output-sensitive build must give
+// the reference's rows, reverse rows, counts and distances exactly,
+// without a pool and over pools of 2 and 4 workers.
+TEST(DistanceClosureTest, BuildMatchesFullScanReference) {
+  struct Shape {
+    size_t n;
+    size_t m;  // 0 = a RandomDag with ~2 out-edges per node
+  };
+  const Shape shapes[] = {{0, 0}, {1, 0}, {200, 260}, {120, 700}, {90, 0}};
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed : {61u, 62u, 63u}) {
+      Digraph g = shape.m == 0 && shape.n > 1
+                      ? testing::RandomDag(shape.n, 2.0, seed)
+                      : testing::RandomDigraph(shape.n, shape.m, seed);
+      if (shape.n > 1) {
+        for (NodeId v = 0; v < shape.n; v += 11) g.AddEdge(v, v);
+        g.AddNode();  // isolated
+        const NodeId loop_only = g.AddNode();
+        g.AddEdge(loop_only, loop_only);
+      }
+      const ReferenceRows ref = BuildReference(g);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                               &pool4}) {
+        const std::string where =
+            "n=" + std::to_string(shape.n) + " m=" + std::to_string(shape.m) +
+            " seed=" + std::to_string(seed) + " workers=" +
+            std::to_string(pool == nullptr ? 0 : pool->NumWorkers());
+        DistanceClosure dc = DistanceClosure::Build(g, pool);
+        ASSERT_EQ(dc.NumNodes(), g.NumNodes()) << where;
+        ASSERT_EQ(dc.NumConnections(), ref.connections) << where;
+        std::vector<NodeId> us, vs;
+        for (NodeId u = 0; u < g.NumNodes(); ++u) {
+          ASSERT_TRUE(std::ranges::equal(dc.Row(u), ref.rows[u]))
+              << where << " row " << u;
+          ASSERT_TRUE(
+              std::ranges::equal(dc.ReverseRow(u), ref.reverse_rows[u]))
+              << where << " reverse row " << u;
+          for (NodeId v = 0; v < g.NumNodes(); ++v) {
+            us.push_back(u);
+            vs.push_back(v);
+          }
+        }
+        std::vector<uint32_t> batch(us.size());
+        dc.DistBatch(us, vs, batch);
+        for (size_t k = 0; k < us.size(); ++k) {
+          const NodeId u = us[k];
+          const NodeId v = vs[k];
+          auto it = std::ranges::find(ref.rows[u], v, &DistConnection::node);
+          const std::optional<uint32_t> expected =
+              u == v ? std::optional<uint32_t>(0)
+              : it == ref.rows[u].end() ? std::nullopt
+                                        : std::optional<uint32_t>(it->dist);
+          ASSERT_EQ(dc.Dist(u, v), expected)
+              << where << " (" << u << "," << v << ")";
+          ASSERT_EQ(batch[k], expected.value_or(kUnreachable))
+              << where << " batch (" << u << "," << v << ")";
+        }
+      }
+    }
   }
 }
 

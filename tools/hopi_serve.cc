@@ -132,6 +132,8 @@ int main(int argc, char** argv) {
     // Distance labels cost a little build time but make
     // "want_distances" batches meaningful; --with_distance=0 opts out.
     build_options.with_distance = with_distance;
+    // The build runs before serving starts, so it may use every core.
+    build_options.num_threads = std::thread::hardware_concurrency();
     IndexBuildStats build_stats;
     auto index = BuildIndex(&collection, build_options, &build_stats);
     if (!index.ok()) {
@@ -145,7 +147,9 @@ int main(int argc, char** argv) {
               << build_stats.cover_build.seed_seconds << " s, greedy "
               << build_stats.cover_build.greedy_seconds << " s), join "
               << build_stats.join_seconds << " s; "
-              << build_stats.num_partitions << " partitions, largest "
+              << build_stats.num_threads << " threads, "
+              << build_stats.num_partitions << " partitions ("
+              << build_stats.partitions_in_turn << " in turn), largest "
               << build_stats.largest_partition_connections << " of "
               << build_stats.total_partition_connections
               << " connections; " << build_stats.cover_entries
